@@ -161,12 +161,19 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     Metrics().total_ms->Observe(p.total_ms);
   };
 
-  // Stage 1: Preprocessor.
+  // A stage the context interrupts stops its own clock too, so the
+  // profile says where the time went however the run ended.
   auto t0 = std::chrono::steady_clock::now();
+  auto interrupted = [&](double* stage_ms, const Status& why) {
+    *stage_ms = MillisSince(t0);
+    degrade(why);
+    finish();
+  };
+
+  // Stage 1: Preprocessor.
   Status cont = ctx.CheckContinue();
   if (!cont.ok()) {
-    degrade(cont);
-    finish();
+    interrupted(&out.preprocess_ms, cont);
     return out;
   }
   {
@@ -199,8 +206,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
                                out.preprocess.influences, view, ctx);
     if (!cleaned.ok()) {
       if (cleaned.status().IsInterrupt()) {
-        degrade(cleaned.status());
-        finish();
+        interrupted(&out.enumerate_ms, cleaned.status());
         return out;
       }
       return cleaned.status();
@@ -212,8 +218,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
                              *request.metric, request.agg_index, ctx);
     if (!candidates.ok()) {
       if (candidates.status().IsInterrupt()) {
-        degrade(candidates.status());
-        finish();
+        interrupted(&out.enumerate_ms, candidates.status());
         return out;
       }
       return candidates.status();
@@ -232,8 +237,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
         view, out.preprocess.suspect_inputs, out.candidates, ctx, plan);
     if (!r.ok()) {
       if (r.status().IsInterrupt()) {
-        degrade(r.status());
-        finish();
+        interrupted(&out.predicates_ms, r.status());
         return out;
       }
       return r.status();

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -27,80 +28,105 @@ namespace dbwipes {
 
 namespace {
 
-std::string Error(const std::string& message) {
-  return "{\"ok\": false, \"error\": \"" + JsonEscape(message) + "\"}";
+std::string Quote(const std::string& text) {
+  return "\"" + JsonEscape(text) + "\"";
 }
 
-std::string Error(const Status& status) {
-  if (IsTransient(status)) {
-    return "{\"ok\": false, \"error\": \"" + JsonEscape(status.ToString()) +
-           "\", \"retryable\": true}";
+/// `[render(a), render(b), ...]`.
+template <typename Items, typename Render>
+std::string JsonArray(const Items& items, Render render) {
+  std::string out = "[";
+  for (const auto& item : items) {
+    if (out.size() > 1) out += ", ";
+    out += render(item);
   }
-  return Error(status.ToString());
+  return out + "]";
 }
 
-std::string Ok() { return "{\"ok\": true}"; }
+std::string Count(size_t n) { return std::to_string(n); }
 
-std::string OkWith(const std::string& key, const std::string& json_value) {
-  return "{\"ok\": true, \"" + key + "\": " + json_value + "}";
-}
+}  // namespace
 
-bool IsOkResponse(const std::string& response) {
-  return response.compare(0, 11, "{\"ok\": true") == 0;
-}
+struct Service::Response {
+  bool ok = true;
+  bool partial = false;
+  std::string error;
+  bool retryable = false;
+  std::string reason;
+  double retry_after_ms = -1.0;  // < 0: absent
+  std::string durability;
+  bool applied = false;
+  /// `"key": value` members, serialized after the fields above.
+  std::string payload;
+  /// A debug run's stage breakdown and cache hits for the slow log;
+  /// never serialized.
+  std::string debug_stages;
+  uint64_t debug_cache_hits = 0;
 
-/// Inserts `, "rid": N` right after the `{"ok": true` / `{"ok": false`
-/// prefix, so every response carries its request id while the prefix
-/// checks clients rely on (IsOkResponse, bench MustOk) keep matching.
-void StampRid(std::string* response, uint64_t rid) {
-  if (rid == 0) return;
-  size_t offset = 0;
-  if (response->compare(0, 11, "{\"ok\": true") == 0) {
-    offset = 11;
-  } else if (response->compare(0, 12, "{\"ok\": false") == 0) {
-    offset = 12;
-  } else {
-    return;  // not a JSON response envelope; leave it alone
+  Response& Add(const std::string& key, const std::string& json) {
+    if (!payload.empty()) payload += ", ";
+    payload += "\"" + key + "\": " + json;
+    return *this;
   }
-  response->insert(offset, ", \"rid\": " + std::to_string(rid));
-}
 
-/// The command name a human would grep for: the first token, plus the
-/// routed command when the first token is an `@session` route.
-std::string CommandLabel(const std::string& line) {
-  std::istringstream in(line);
-  std::string cmd;
-  in >> cmd;
-  if (!cmd.empty() && cmd[0] == '@') {
-    std::string routed;
-    if (in >> routed) cmd += " " + routed;
+  /// The wire form, built once at the edge. The field order is the
+  /// contract every client parses: ok, rid, partial, error, retryable,
+  /// reason, retry_after_ms, durability, applied, then the payload.
+  std::string Serialize(uint64_t rid) const {
+    std::string out = ok ? "{\"ok\": true" : "{\"ok\": false";
+    if (rid != 0) out += ", \"rid\": " + std::to_string(rid);
+    if (partial) out += ", \"partial\": true";
+    if (!ok) out += ", \"error\": " + Quote(error);
+    if (retryable) out += ", \"retryable\": true";
+    if (!reason.empty()) out += ", \"reason\": " + Quote(reason);
+    if (retry_after_ms >= 0.0) {
+      out += ", \"retry_after_ms\": " + FormatDouble(retry_after_ms);
+    }
+    if (!durability.empty()) out += ", \"durability\": " + Quote(durability);
+    if (applied) out += ", \"applied\": true";
+    if (!payload.empty()) out += ", " + payload;
+    return out + "}";
   }
-  return cmd;
-}
-
-/// Per-thread summary of the last RunDebug, consumed by the slow-log
-/// writer so a slow `debug` logs its stage breakdown and cache hits
-/// without re-threading the profile through every return path.
-struct LastDebugSummary {
-  uint64_t rid = 0;
-  std::string stages_json;
-  uint64_t cache_hits = 0;
 };
-thread_local LastDebugSummary tl_last_debug;
 
-/// Session-scope commands the WAL records: everything that mutates the
-/// session's durable state (query, selections, metric, cleaning,
-/// settings). Reads (result/state/metrics), `debug` (recomputable),
-/// and `cancel` are not logged.
-bool IsLoggedSessionCommand(const std::string& cmd) {
-  return cmd == "sql" || cmd == "select_range" || cmd == "select_groups" ||
-         cmd == "inputs_where" || cmd == "metric" || cmd == "clean" ||
-         cmd == "clean_where" || cmd == "undo" || cmd == "reset" ||
-         cmd == "set_deadline" || cmd == "profile";
+struct Service::Call {
+  std::istream& in;            // positioned after the command word
+  const std::string& session;  // the routed session's name
+  ManagedSession* ms;          // session-scope commands only
+};
+
+namespace {
+
+using Response = Service::Response;
+using Call = Service::Call;
+
+/// An ok response with these `"key": json` payload members.
+Response OkWith(
+    std::initializer_list<std::pair<std::string, std::string>> members) {
+  Response r;
+  for (const auto& [key, json] : members) r.Add(key, json);
+  return r;
 }
 
-/// Reads the next token without consuming it (for commands whose
-/// subcommand decides gating/logging before the handler parses it).
+Response OkWith(const std::string& key, const std::string& json) {
+  return OkWith({{key, json}});
+}
+
+Response Error(const std::string& message) {
+  Response r;
+  r.ok = false;
+  r.error = message;
+  return r;
+}
+
+Response Error(const Status& status) {
+  Response r = Error(status.ToString());
+  r.retryable = IsTransient(status);
+  return r;
+}
+
+/// Reads the next token without consuming it (the subcommand word that
+/// selects a table variant before the handler parses it).
 std::string PeekToken(std::istream& in) {
   const std::streampos pos = in.tellg();
   std::string token;
@@ -110,16 +136,35 @@ std::string PeekToken(std::istream& in) {
   return token;
 }
 
-std::string ShedResponse(double retry_after_ms) {
-  return "{\"ok\": false, \"error\": \"overloaded: request queue is full\", "
-         "\"retryable\": true, \"reason\": \"overloaded\", "
-         "\"retry_after_ms\": " +
-         FormatDouble(retry_after_ms) + "}";
+/// The rest of the line, trimmed (free-text arguments: SQL, filters).
+std::string RestOfLine(std::istream& in) {
+  std::string tail;
+  std::getline(in, tail);
+  return std::string(Trim(tail));
 }
 
-std::string NotRunningResponse() {
-  return "{\"ok\": false, \"error\": \"service is not running\", "
-         "\"reason\": \"not_running\"}";
+const Service::Command* FindCommand(const std::string& name) {
+  for (const Service::Command& command : Service::Commands()) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
+/// The command name a human would grep for: the table's name for the
+/// command (and its subcommand, when it has named ones), after the
+/// `@session` route when there is one.
+std::string CommandLabel(const std::string& line) {
+  std::istringstream in(line);
+  std::string label;
+  in >> label;
+  std::string cmd = label;
+  if (!label.empty() && label[0] == '@' && in >> cmd) label += " " + cmd;
+  if (const Service::Command* command = FindCommand(cmd)) {
+    if (const char* sub = command->Select(PeekToken(in)).sub) {
+      label += std::string(" ") + sub;
+    }
+  }
+  return label;
 }
 
 ServiceOptions WithExplain(ExplainOptions explain) {
@@ -159,7 +204,294 @@ Status ReplaySessionState(ManagedSession& ms, const SessionReplay& replay) {
   return Status::OK();
 }
 
+/// The response of a session mutation: its error, or — once the new
+/// selection/cleaning state is mirrored into the replay record, so a
+/// snapshot taken at any point restores to exactly here — `ok(session)`.
+template <typename Render>
+Response Mutated(ManagedSession& ms, const Status& st, Render ok) {
+  if (!st.ok()) return Error(st);
+  ms.replay.applied_predicates = ms.session.applied_predicates();
+  ms.replay.selected_groups = ms.session.selected_groups();
+  ms.replay.selected_inputs = ms.session.selected_inputs();
+  return ok(ms.session);
+}
+
+Response NumSelected(const Session& s) {
+  return OkWith("num_selected", Count(s.selected_groups().size()));
+}
+
+Response CleanedSql(const Session& s) {
+  return OkWith("sql", Quote(s.CurrentSql()));
+}
+
+Response StateOf(const Session& s) {
+  Response r;
+  r.Add("has_result", s.has_result() ? "true" : "false");
+  if (s.has_result()) {
+    r.Add("sql", Quote(s.CurrentSql()));
+    r.Add("num_groups", Count(s.result().num_groups()));
+  }
+  r.Add("num_selected_groups", Count(s.selected_groups().size()));
+  r.Add("num_selected_inputs", Count(s.selected_inputs().size()));
+  r.Add("num_applied_predicates", Count(s.applied_predicates().size()));
+  r.Add("has_explanation", s.has_explanation() ? "true" : "false");
+  return r;
+}
+
+Response Metrics(Session& s, std::istream& in) {
+  size_t agg_index = 0;
+  in >> agg_index;
+  auto suggestions = s.SuggestErrorMetrics(agg_index);
+  if (!suggestions.ok()) return Error(suggestions.status());
+  return OkWith("metrics", JsonArray(*suggestions, [](const auto& m) {
+                  return "{\"label\": " + Quote(m.label) +
+                         ", \"default_expected\": " +
+                         FormatDouble(m.default_expected, 17) + "}";
+                }));
+}
+
+Response SetMetric(ManagedSession& ms, std::istream& in) {
+  std::string kind;
+  double expected = 0.0;
+  if (!(in >> kind >> expected)) {
+    return Error("usage: metric <kind> <expected> [agg_index]");
+  }
+  size_t agg_index = 0;
+  in >> agg_index;
+  auto metric = MetricFromKind(kind, expected);
+  if (!metric.ok()) return Error(metric.status());
+  Status st = ms.session.SetMetric(*metric, agg_index);
+  if (!st.ok()) return Error(st);
+  ms.replay.has_metric = true;
+  ms.replay.metric_kind = kind;
+  ms.replay.metric_expected = expected;
+  ms.replay.agg_index = agg_index;
+  return Response();
+}
+
+Response Trace(std::istream& in) {
+  std::string sub;
+  if (!(in >> sub)) return Error("usage: trace on|off|<path>");
+  if (sub == "on" || sub == "off") {
+    Tracer::Global().SetEnabled(sub == "on");
+    return OkWith("trace", sub == "on" ? "true" : "false");
+  }
+  // Anything else is a dump path.
+  Status st = Tracer::Global().WriteJson(sub);
+  if (!st.ok()) return Error(st);
+  return OkWith("trace_events", Count(Tracer::Global().num_events()));
+}
+
+Response Cancel(ManagedSession& ms) {
+  // Runs with no lock class: the whole point is to reach a debug that
+  // holds the session mutex (and to land while a checkpoint drains).
+  std::lock_guard<std::mutex> lock(ms.cancel_mu);
+  if (ms.active_cancel != nullptr) {
+    ms.active_cancel->Cancel("cancelled by client");
+    return OkWith("cancelled", "\"in-flight\"");
+  }
+  ms.pending_cancel = true;
+  return OkWith("cancelled", "\"pending\"");
+}
+
 }  // namespace
+
+const Service::Command::Variant& Service::Command::Select(
+    const std::string& sub) const {
+  static const Variant kUnknownSub{nullptr, CommandKind::kRead,
+                                   CommandLock::kNone};
+  for (const Variant& v : variants) {
+    if (v.sub == nullptr || sub == v.sub) return v;
+  }
+  return kUnknownSub;
+}
+
+// The command table. Each row names a command, its scope, and per
+// subcommand what it does (CommandKind) and which locks dispatch holds
+// around it (CommandLock); ExecuteCommand derives role refusal, WAL
+// logging and locking from the row, and CommandLabel its name.
+const std::vector<Service::Command>& Service::Commands() {
+  using K = CommandKind;
+  using L = CommandLock;
+  constexpr bool kProcessScope = false;
+  constexpr bool kSessionScope = true;
+  static const std::vector<Command> table = {
+      // --- Replication role: followers are managed through these ---
+      {"replicate", kProcessScope, {{nullptr, K::kRead, L::kNone}},
+       [](Service& s, Call& c) { return s.HandleReplicate(c.in); }},
+      {"promote", kProcessScope, {{nullptr, K::kRead, L::kNone}},
+       [](Service& s, Call&) { return s.HandlePromote(); }},
+      {"replication", kProcessScope, {{nullptr, K::kRead, L::kNone}},
+       [](Service& s, Call& c) {
+         if (PeekToken(c.in) == "status") return s.HandleReplicationStatus();
+         return Error("usage: replication status");
+       }},
+
+      // --- Process-wide reads ---
+      {"ping", kProcessScope, {{nullptr, K::kRead, L::kNone}},
+       [](Service&, Call& c) {
+         double ms = 0.0;
+         if (c.in >> ms && ms > 0.0) {
+           std::this_thread::sleep_for(
+               std::chrono::duration<double, std::milli>(ms));
+         }
+         return OkWith("pong", "true");
+       }},
+      {"stats", kProcessScope, {{nullptr, K::kRead, L::kNone}},
+       [](Service& s, Call&) { return s.HandleStats(); }},
+      {"history", kProcessScope, {{nullptr, K::kRead, L::kNone}},
+       [](Service& s, Call& c) { return s.HandleHistory(c.in); }},
+      {"slowlog", kProcessScope, {{nullptr, K::kRead, L::kNone}},
+       [](Service& s, Call&) { return s.HandleSlowlog(); }},
+      {"trace", kProcessScope, {{nullptr, K::kRead, L::kNone}},
+       [](Service&, Call& c) { return Trace(c.in); }},
+
+      // --- Durability. Swapping or re-basing the world excludes every
+      // logged mutation and checkpoint (exclusive gate); `snapshot
+      // save` stays gate-free, its session locks and shard leases
+      // already give a prefix-consistent capture. ---
+      {"wal", kProcessScope,
+       {{"on", K::kNodeConfig, L::kExclusiveGate,
+         "configures this node's own durability, which its log cannot "
+         "record; a follower's log holds exactly the primary's stream"},
+        // No lock class: the handler takes repl_mu_ before the gate.
+        {"off", K::kNodeConfig, L::kNone,
+         "configures this node's own durability; a follower must keep "
+         "logging the primary's stream"},
+        {"checkpoint", K::kRead, L::kExclusiveGate},
+        {"status", K::kRead, L::kNone}},
+       [](Service& s, Call& c) { return s.HandleWal(c.in); }},
+      {"snapshot", kProcessScope,
+       {{"save", K::kRead, L::kNone},
+        {"load", K::kNodeConfig, L::kExclusiveGate,
+         "replaces the whole world from a file the log does not hold; "
+         "the WAL checkpoints right after it instead, and a follower's "
+         "world comes only from the primary"}},
+       [](Service& s, Call& c) { return s.HandleSnapshot(c.in); }},
+
+      // --- Process-wide mutations: the shared gate keeps a checkpoint
+      // from seeing one half-applied, append_wal_mu_ keeps WAL order ==
+      // apply order across clients ---
+      {"retry", kProcessScope, {{nullptr, K::kLogged, L::kGateOrdered}},
+       [](Service& s, Call& c) { return s.HandleRetry(c.in); }},
+      {"session", kProcessScope,
+       {{"list", K::kRead, L::kGateOrdered},
+        {"drop", K::kLogged, L::kGateOrdered},
+        {"evict", K::kRead, L::kGateOrdered}},
+       [](Service& s, Call& c) { return s.HandleSession(c.in); }},
+      {"shards", kProcessScope, {{nullptr, K::kLogged, L::kGateOrdered}},
+       [](Service& s, Call& c) { return s.HandleShards(c.in); }},
+      {"append", kProcessScope, {{nullptr, K::kLogged, L::kGateOrdered}},
+       [](Service& s, Call& c) { return s.HandleAppend(c.in); }},
+
+      // --- Session commands (the session mutex serializes each
+      // session; logged ones also hold the shared gate) ---
+      {"cancel", kSessionScope, {{nullptr, K::kRead, L::kNone}},
+       [](Service&, Call& c) { return Cancel(*c.ms); }},
+      {"sql", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         const std::string sql = RestOfLine(c.in);
+         if (sql.empty()) return Error("usage: sql <query>");
+         Status st = c.ms->session.ExecuteSql(sql);
+         if (st.ok()) c.ms->replay.original_sql = sql;
+         return Mutated(*c.ms, st, [](const Session& s) {
+           return OkWith("num_groups", Count(s.result().num_groups()));
+         });
+       }},
+      {"result", kSessionScope, {{nullptr, K::kRead, L::kSession}},
+       [](Service&, Call& c) {
+         const Session& s = c.ms->session;
+         if (!s.has_result()) return Error("no query executed");
+         return OkWith("result", QueryResultToJson(s.result(), false));
+       }},
+      {"select_range", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         std::string agg;
+         double lo = 0.0, hi = 0.0;
+         if (!(c.in >> agg >> lo >> hi)) {
+           return Error("usage: select_range <agg> <lo> <hi>");
+         }
+         return Mutated(*c.ms, c.ms->session.SelectResultsInRange(agg, lo, hi),
+                        NumSelected);
+       }},
+      {"select_groups", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         std::vector<size_t> groups;
+         for (size_t g; c.in >> g;) groups.push_back(g);
+         if (groups.empty()) return Error("usage: select_groups <i> [j ...]");
+         return Mutated(*c.ms, c.ms->session.SelectResults(groups),
+                        NumSelected);
+       }},
+      {"inputs_where", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         const std::string filter = RestOfLine(c.in);
+         if (filter.empty()) return Error("usage: inputs_where <filter>");
+         return Mutated(*c.ms, c.ms->session.SelectInputsWhere(filter),
+                        [](const Session& s) {
+                          return OkWith("num_inputs",
+                                        Count(s.selected_inputs().size()));
+                        });
+       }},
+      {"metrics", kSessionScope, {{nullptr, K::kRead, L::kSession}},
+       [](Service&, Call& c) { return Metrics(c.ms->session, c.in); }},
+      {"metric", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) { return SetMetric(*c.ms, c.in); }},
+      {"debug", kSessionScope, {{nullptr, K::kRead, L::kSession}},
+       [](Service& s, Call& c) { return s.RunDebug(*c.ms); }},
+      {"set_deadline", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         double ms = 0.0;
+         if (!(c.in >> ms)) return Error("usage: set_deadline <ms>");
+         c.ms->settings.deadline_ms = ms;
+         return OkWith("deadline_ms",
+                       ms <= 0.0 ? "null" : FormatDouble(ms, 17));
+       }},
+      {"profile", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         std::string sub;
+         if (!(c.in >> sub)) return Error("usage: profile on|off");
+         if (sub != "on" && sub != "off") {
+           return Error("unknown profile subcommand '" + sub + "'");
+         }
+         c.ms->settings.profile_enabled = sub == "on";
+         return OkWith("profile", sub == "on" ? "true" : "false");
+       }},
+      {"clean", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         size_t index = 0;
+         if (!(c.in >> index)) return Error("usage: clean <i>");
+         return Mutated(*c.ms, c.ms->session.ApplyPredicate(index),
+                        CleanedSql);
+       },
+       // `clean <i>` names a rank in the last debug's explanation, which
+       // recovery does not replay: log the RESOLVED predicate instead.
+       [](const Call& c) {
+         return "@" + c.session + " clean_where " +
+                c.ms->session.applied_predicates().back().ToString();
+       }},
+      {"clean_where", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         const std::string text = RestOfLine(c.in);
+         if (text.empty()) return Error("usage: clean_where <predicate>");
+         auto pred = ParsePredicate(text);
+         if (!pred.ok()) return Error(pred.status());
+         return Mutated(*c.ms, c.ms->session.ApplyPredicateDirect(*pred),
+                        CleanedSql);
+       }},
+      {"undo", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         return Mutated(*c.ms, c.ms->session.UndoLastPredicate(), CleanedSql);
+       }},
+      {"reset", kSessionScope, {{nullptr, K::kLogged, L::kSession}},
+       [](Service&, Call& c) {
+         return Mutated(*c.ms, c.ms->session.ResetCleaning(),
+                        [](const Session&) { return Response(); });
+       }},
+      {"state", kSessionScope, {{nullptr, K::kRead, L::kSession}},
+       [](Service&, Call& c) { return StateOf(c.ms->session); }},
+  };
+  return table;
+}
 
 Service::Service(std::shared_ptr<Database> db, ExplainOptions options)
     : Service(std::move(db), WithExplain(std::move(options))) {}
@@ -244,18 +576,15 @@ std::string Service::ExecuteWithRid(const std::string& line, uint64_t rid) {
   RequestScope scope(rid);
   const double start_ms = MonotonicMillis();
   TrackInflightBegin(rid, line, start_ms);
-  std::string response = ExecuteCommand(line);
+  const Response response = ExecuteCommand(line);
   TrackInflightEnd(rid);
-  // Every failure path funnels through Error(), whose responses start
-  // with this exact prefix.
-  if (response.compare(0, 12, "{\"ok\": false") == 0) errors->Increment();
-  StampRid(&response, rid);
+  if (!response.ok) errors->Increment();
   MaybeSlowLog(rid, line, MonotonicMillis() - start_ms, response);
   MaybeAutoCheckpoint();
-  return response;
+  return response.Serialize(rid);
 }
 
-std::string Service::ExecuteCommand(const std::string& line) {
+Service::Response Service::ExecuteCommand(const std::string& line) {
   std::istringstream in(line);
   std::string cmd;
   in >> cmd;
@@ -271,112 +600,24 @@ std::string Service::ExecuteCommand(const std::string& line) {
     cmd.clear();
     if (!(in >> cmd)) return Error("usage: @<session> <command ...>");
   }
+  const Command* command = FindCommand(cmd);
+  if (command == nullptr) return Error("unknown command '" + cmd + "'");
+  const Command::Variant& variant = command->Select(PeekToken(in));
 
-  // --- Replication role & commands (DESIGN.md §5l) ---
-
-  if (cmd == "replicate") return HandleReplicate(in);
-  if (cmd == "promote") return HandlePromote();
-  if (cmd == "replication") {
-    if (PeekToken(in) == "status") return HandleReplicationStatus();
-    return Error("usage: replication status");
-  }
-  // A follower (or a fenced stale primary) refuses mutations up front,
-  // before they can touch any state. Replay bypasses: replicated
-  // frames and recovery records ARE the follower's mutations.
-  if (!ReplayingOnThisThread()) {
-    std::string rejection = MaybeRejectForRole(cmd, in);
-    if (!rejection.empty()) return rejection;
-  }
-
-  // --- Process-wide commands (no session involved) ---
-
-  if (cmd == "ping") {
-    double ms = 0.0;
-    if (in >> ms && ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(ms));
-    }
-    return OkWith("pong", "true");
-  }
-
-  if (cmd == "stats") return HandleStats();
-
-  if (cmd == "history") return HandleHistory(in);
-
-  if (cmd == "slowlog") return HandleSlowlog();
-
-  if (cmd == "wal") return HandleWal(in);
-
-  if (cmd == "trace") {
-    std::string sub;
-    if (!(in >> sub)) return Error("usage: trace on|off|<path>");
-    if (sub == "on") {
-      Tracer::Global().SetEnabled(true);
-      return OkWith("trace", "true");
-    }
-    if (sub == "off") {
-      Tracer::Global().SetEnabled(false);
-      return OkWith("trace", "false");
-    }
-    // Anything else is a dump path.
-    Status st = Tracer::Global().WriteJson(sub);
-    if (!st.ok()) return Error(st);
-    return OkWith("trace_events",
-                  std::to_string(Tracer::Global().num_events()));
-  }
-
-  if (cmd == "snapshot") {
-    // `snapshot load` swaps the world, which must not interleave with
-    // logged mutations or a checkpoint — exclusive gate; with the WAL
-    // on the load is followed by a checkpoint so the log base matches
-    // the new world. `snapshot save` stays gate-free: its per-session
-    // locks + shard leases already give a prefix-consistent capture,
-    // and serializing it behind the gate would stall live traffic.
-    if (PeekToken(in) != "load" || ReplayingOnThisThread()) {
-      return HandleSnapshot(in);
-    }
-    std::unique_lock<std::shared_mutex> gate(wal_gate_);
-    std::string response = HandleSnapshot(in);
-    if (IsOkResponse(response) && wal_ != nullptr) {
-      Status st = CheckpointLocked();
-      if (!st.ok()) wal_last_error_ = st.ToString();
-    }
-    return response;
-  }
-
+  // Replay — recovery records and replicated frames, run by the thread
+  // that holds the gate exclusively — takes no gate and logs nothing:
+  // those records ARE this node's mutations. Everyone else: a follower
+  // or fenced primary refuses primary-only commands before they can
+  // touch any state.
   const bool replaying = ReplayingOnThisThread();
-  std::shared_lock<std::shared_mutex> gate;
-
-  // --- Process-wide mutating commands ---
-  // Gate (shared) so a checkpoint never observes a half-applied
-  // mutation, then append_wal_mu_ so WAL order == apply order even
-  // across concurrent clients.
-
-  if (cmd == "retry" || cmd == "session" || cmd == "shards" ||
-      cmd == "append") {
-    const bool logged = cmd == "session" ? PeekToken(in) == "drop" : true;
-    if (!replaying) gate = std::shared_lock<std::shared_mutex>(wal_gate_);
-    std::unique_lock<std::mutex> order(append_wal_mu_);
-    std::string response;
-    if (cmd == "retry") {
-      response = HandleRetry(in);
-    } else if (cmd == "session") {
-      response = HandleSession(in);
-    } else if (cmd == "shards") {
-      response = HandleShards(in);
-    } else {
-      response = HandleAppend(in);
+  if (!replaying && CommandKindIsPrimaryOnly(variant.kind)) {
+    if (std::optional<Response> refusal = OffPrimaryRefusal()) {
+      return *std::move(refusal);
     }
-    if (logged && !replaying && IsOkResponse(response)) {
-      ApplyWalLog(line, &response, &order);
-    }
-    return response;
   }
-
-  // --- Session commands ---
 
   std::shared_ptr<ManagedSession> ms;
-  {
+  if (command->session_scope) {
     // Hold the state lock only long enough to resolve the session:
     // command execution must not block a snapshot load's world swap
     // (in-flight commands finish against the old world, which the
@@ -387,228 +628,40 @@ std::string Service::ExecuteCommand(const std::string& line) {
     ms = std::move(*resolved);
   }
 
-  if (cmd == "cancel") {
-    // Deliberately does NOT take the session mutex: the whole point is
-    // to reach a debug currently holding it. (Nor the gate: a cancel
-    // must land even while a checkpoint drains.)
-    std::lock_guard<std::mutex> lock(ms->cancel_mu);
-    if (ms->active_cancel != nullptr) {
-      ms->active_cancel->Cancel("cancelled by client");
-      return OkWith("cancelled", "\"in-flight\"");
-    }
-    ms->pending_cancel = true;
-    return OkWith("cancelled", "\"pending\"");
+  // Locks, in lock order. A logged command holds the gate shared so a
+  // checkpoint never observes it half-applied, plus an ordering lock
+  // so WAL order == apply order.
+  const bool logged = CommandKindIsLogged(variant.kind) && !replaying;
+  std::shared_lock<std::shared_mutex> shared_gate;
+  std::unique_lock<std::shared_mutex> exclusive_gate;
+  std::unique_lock<std::mutex> order;
+  if (!replaying && (logged || variant.lock == CommandLock::kGateOrdered)) {
+    shared_gate = std::shared_lock<std::shared_mutex>(wal_gate_);
+  }
+  if (variant.lock == CommandLock::kSession) {
+    order = std::unique_lock<std::mutex>(ms->mu);
+  } else if (variant.lock == CommandLock::kGateOrdered) {
+    order = std::unique_lock<std::mutex>(append_wal_mu_);
+  } else if (variant.lock == CommandLock::kExclusiveGate && !replaying) {
+    // The owner mark lets `wal on` replay the log through this same
+    // dispatch without re-taking the gate.
+    exclusive_gate = std::unique_lock<std::shared_mutex>(wal_gate_);
+    gate_owner_.store(std::this_thread::get_id(), std::memory_order_release);
   }
 
-  const bool logged = IsLoggedSessionCommand(cmd);
-  if (logged && !replaying) {
-    gate = std::shared_lock<std::shared_mutex>(wal_gate_);
+  Call call{in, session_name, ms.get()};
+  Response response = command->handler(*this, call);
+  if (exclusive_gate.owns_lock()) {
+    gate_owner_.store(std::thread::id(), std::memory_order_release);
   }
-  std::lock_guard<std::mutex> session_lock(ms->mu);
-  std::string response = ExecuteSessionCommand(*ms, cmd, in);
-  if (logged && !replaying && IsOkResponse(response)) {
-    std::string logged_line = line;
-    if (cmd == "clean" && !ms->session.applied_predicates().empty()) {
-      // `clean <i>` names a rank in the last debug's explanation, which
-      // recovery does not replay — log the RESOLVED predicate instead
-      // so the record applies without re-explaining.
-      logged_line = "@" + session_name + " clean_where " +
-                    ms->session.applied_predicates().back().ToString();
-    }
-    ApplyWalLog(logged_line, &response);
+  if (logged && response.ok) {
+    // A process-wide command releases append_wal_mu_ for the fsync
+    // wait; a session keeps its mutex until the command is durable.
+    ApplyWalLog(command->log_line != nullptr ? command->log_line(call) : line,
+                &response,
+                variant.lock == CommandLock::kGateOrdered ? &order : nullptr);
   }
   return response;
-}
-
-std::string Service::ExecuteSessionCommand(ManagedSession& ms,
-                                           const std::string& cmd,
-                                           std::istream& in) {
-  Session& session = ms.session;
-
-  auto rest = [&in]() {
-    std::string tail;
-    std::getline(in, tail);
-    return std::string(Trim(tail));
-  };
-
-  // Mirrors the session's selection/cleaning state into the replay
-  // record so a snapshot taken at any point restores to exactly here.
-  auto sync_replay = [&ms, &session]() {
-    ms.replay.applied_predicates = session.applied_predicates();
-    ms.replay.selected_groups = session.selected_groups();
-    ms.replay.selected_inputs = session.selected_inputs();
-  };
-
-  if (cmd == "sql") {
-    const std::string sql = rest();
-    if (sql.empty()) return Error("usage: sql <query>");
-    Status st = session.ExecuteSql(sql);
-    if (!st.ok()) return Error(st);
-    ms.replay.original_sql = sql;
-    sync_replay();
-    return OkWith("num_groups", std::to_string(session.result().num_groups()));
-  }
-
-  if (cmd == "result") {
-    if (!session.has_result()) return Error("no query executed");
-    return OkWith("result",
-                  QueryResultToJson(session.result(), /*pretty=*/false));
-  }
-
-  if (cmd == "select_range") {
-    std::string agg;
-    double lo = 0.0, hi = 0.0;
-    if (!(in >> agg >> lo >> hi)) {
-      return Error("usage: select_range <agg> <lo> <hi>");
-    }
-    Status st = session.SelectResultsInRange(agg, lo, hi);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("num_selected",
-                  std::to_string(session.selected_groups().size()));
-  }
-
-  if (cmd == "select_groups") {
-    std::vector<size_t> groups;
-    size_t g;
-    while (in >> g) groups.push_back(g);
-    if (groups.empty()) return Error("usage: select_groups <i> [j ...]");
-    Status st = session.SelectResults(groups);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("num_selected",
-                  std::to_string(session.selected_groups().size()));
-  }
-
-  if (cmd == "inputs_where") {
-    const std::string filter = rest();
-    if (filter.empty()) return Error("usage: inputs_where <filter>");
-    Status st = session.SelectInputsWhere(filter);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("num_inputs",
-                  std::to_string(session.selected_inputs().size()));
-  }
-
-  if (cmd == "metrics") {
-    size_t agg_index = 0;
-    in >> agg_index;
-    auto suggestions = session.SuggestErrorMetrics(agg_index);
-    if (!suggestions.ok()) return Error(suggestions.status());
-    std::string arr = "[";
-    for (size_t i = 0; i < suggestions->size(); ++i) {
-      if (i > 0) arr += ", ";
-      arr += "{\"label\": \"" + JsonEscape((*suggestions)[i].label) +
-             "\", \"default_expected\": " +
-             FormatDouble((*suggestions)[i].default_expected, 17) + "}";
-    }
-    arr += "]";
-    return OkWith("metrics", arr);
-  }
-
-  if (cmd == "metric") {
-    std::string kind;
-    double expected = 0.0;
-    if (!(in >> kind >> expected)) {
-      return Error("usage: metric <kind> <expected> [agg_index]");
-    }
-    size_t agg_index = 0;
-    in >> agg_index;
-    auto metric = MetricFromKind(kind, expected);
-    if (!metric.ok()) return Error(metric.status());
-    Status st = session.SetMetric(*metric, agg_index);
-    if (!st.ok()) return Error(st);
-    ms.replay.has_metric = true;
-    ms.replay.metric_kind = kind;
-    ms.replay.metric_expected = expected;
-    ms.replay.agg_index = agg_index;
-    return Ok();
-  }
-
-  if (cmd == "debug") {
-    return RunDebug(ms);
-  }
-
-  if (cmd == "set_deadline") {
-    double ms_value = 0.0;
-    if (!(in >> ms_value)) return Error("usage: set_deadline <ms>");
-    ms.settings.deadline_ms = ms_value;
-    if (ms_value <= 0.0) {
-      return OkWith("deadline_ms", "null");
-    }
-    return OkWith("deadline_ms", FormatDouble(ms_value, 17));
-  }
-
-  if (cmd == "profile") {
-    std::string sub;
-    if (!(in >> sub)) return Error("usage: profile on|off");
-    if (sub == "on") {
-      ms.settings.profile_enabled = true;
-      return OkWith("profile", "true");
-    }
-    if (sub == "off") {
-      ms.settings.profile_enabled = false;
-      return OkWith("profile", "false");
-    }
-    return Error("unknown profile subcommand '" + sub + "'");
-  }
-
-  if (cmd == "clean") {
-    size_t index = 0;
-    if (!(in >> index)) return Error("usage: clean <i>");
-    Status st = session.ApplyPredicate(index);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("sql", "\"" + JsonEscape(session.CurrentSql()) + "\"");
-  }
-
-  if (cmd == "clean_where") {
-    const std::string text = rest();
-    if (text.empty()) return Error("usage: clean_where <predicate>");
-    auto pred = ParsePredicate(text);
-    if (!pred.ok()) return Error(pred.status());
-    Status st = session.ApplyPredicateDirect(*pred);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("sql", "\"" + JsonEscape(session.CurrentSql()) + "\"");
-  }
-
-  if (cmd == "undo") {
-    Status st = session.UndoLastPredicate();
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("sql", "\"" + JsonEscape(session.CurrentSql()) + "\"");
-  }
-
-  if (cmd == "reset") {
-    Status st = session.ResetCleaning();
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return Ok();
-  }
-
-  if (cmd == "state") {
-    std::string out = "{\"ok\": true";
-    out += ", \"has_result\": ";
-    out += session.has_result() ? "true" : "false";
-    if (session.has_result()) {
-      out += ", \"sql\": \"" + JsonEscape(session.CurrentSql()) + "\"";
-      out +=
-          ", \"num_groups\": " + std::to_string(session.result().num_groups());
-    }
-    out += ", \"num_selected_groups\": " +
-           std::to_string(session.selected_groups().size());
-    out += ", \"num_selected_inputs\": " +
-           std::to_string(session.selected_inputs().size());
-    out += ", \"num_applied_predicates\": " +
-           std::to_string(session.applied_predicates().size());
-    out += ", \"has_explanation\": ";
-    out += session.has_explanation() ? "true" : "false";
-    out += "}";
-    return out;
-  }
-
-  return Error("unknown command '" + cmd + "'");
 }
 
 RetryPolicy Service::CurrentRetryPolicy() const {
@@ -619,7 +672,7 @@ RetryPolicy Service::CurrentRetryPolicy() const {
   return policy;
 }
 
-std::string Service::HandleRetry(std::istream& in) {
+Service::Response Service::HandleRetry(std::istream& in) {
   std::string first;
   if (!(in >> first)) {
     return Error("usage: retry <max_attempts> [initial_backoff_ms] | retry off");
@@ -647,23 +700,18 @@ std::string Service::HandleRetry(std::istream& in) {
                     "}");
 }
 
-std::string Service::HandleSession(std::istream& in) {
+Service::Response Service::HandleSession(std::istream& in) {
   std::string sub;
   if (!(in >> sub)) return Error("usage: session list|drop|evict");
 
   std::shared_lock<std::shared_mutex> lock(state_mu_);
 
   if (sub == "list") {
-    std::string arr = "[";
-    bool first = true;
-    for (const std::string& name : manager_->Names()) {
-      if (!first) arr += ", ";
-      first = false;
-      arr += "{\"name\": \"" + JsonEscape(name) +
-             "\", \"idle_ms\": " + FormatDouble(manager_->IdleMs(name)) + "}";
-    }
-    arr += "]";
-    return OkWith("sessions", arr);
+    return OkWith("sessions", JsonArray(manager_->Names(), [this](
+                                            const std::string& name) {
+                    return "{\"name\": " + Quote(name) + ", \"idle_ms\": " +
+                           FormatDouble(manager_->IdleMs(name)) + "}";
+                  }));
   }
 
   if (sub == "drop") {
@@ -672,7 +720,7 @@ std::string Service::HandleSession(std::istream& in) {
     if (name == "main") return Error("cannot drop the default session 'main'");
     Status st = manager_->Drop(name);
     if (!st.ok()) return Error(st);
-    return OkWith("dropped", "\"" + JsonEscape(name) + "\"");
+    return OkWith("dropped", Quote(name));
   }
 
   if (sub == "evict") {
@@ -686,13 +734,13 @@ std::string Service::HandleSession(std::istream& in) {
     // default session handle can never dangle.
     std::lock_guard<std::mutex> keep_main(default_session_->mu);
     const size_t evicted = manager_->EvictIdleOlderThan(idle_ms);
-    return OkWith("evicted", std::to_string(evicted));
+    return OkWith("evicted", Count(evicted));
   }
 
   return Error("unknown session subcommand '" + sub + "'");
 }
 
-std::string Service::HandleStats() {
+Service::Response Service::HandleStats() {
   std::shared_ptr<Database> db;
   {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
@@ -701,46 +749,26 @@ std::string Service::HandleStats() {
   // Per-table shard telemetry rides along with the metrics snapshot so
   // a dashboard sees layout, occupancy, and cache warmth in one call.
   std::string shards = "{";
-  bool first_table = true;
   for (const std::string& name : db->ShardedNames()) {
     auto set = db->GetShardSet(name);
     if (set == nullptr) continue;
     auto lease = set->ReadLease();
-    if (!first_table) shards += ", ";
-    first_table = false;
-    shards += "\"" + JsonEscape(name) +
-              "\": {\"count\": " + std::to_string(set->num_shards()) +
-              ", \"rows\": [";
-    bool first = true;
-    for (size_t rows : set->ShardRowCounts()) {
-      if (!first) shards += ", ";
-      first = false;
-      shards += std::to_string(rows);
-    }
-    shards += "], \"cached_clauses\": [";
-    first = true;
-    for (size_t clauses : ShardEngineCache::For(*set)->CachedClausesPerShard()) {
-      if (!first) shards += ", ";
-      first = false;
-      shards += std::to_string(clauses);
-    }
-    shards += "], \"cached_programs\": [";
-    first = true;
-    for (size_t programs :
-         ShardEngineCache::For(*set)->CachedProgramsPerShard()) {
-      if (!first) shards += ", ";
-      first = false;
-      shards += std::to_string(programs);
-    }
-    shards += "], \"appends\": " + std::to_string(set->appends()) + "}";
+    const auto cache = ShardEngineCache::For(*set);
+    if (shards.size() > 1) shards += ", ";
+    shards += Quote(name) + ": {\"count\": " + Count(set->num_shards()) +
+              ", \"rows\": " + JsonArray(set->ShardRowCounts(), Count) +
+              ", \"cached_clauses\": " +
+              JsonArray(cache->CachedClausesPerShard(), Count) +
+              ", \"cached_programs\": " +
+              JsonArray(cache->CachedProgramsPerShard(), Count) +
+              ", \"appends\": " + Count(set->appends()) + "}";
   }
-  shards += "}";
-  return "{\"ok\": true, \"stats\": " +
-         MetricsRegistry::Global().SnapshotJson(/*pretty=*/false) +
-         ", \"shards\": " + shards + "}";
+  return OkWith(
+      {{"stats", MetricsRegistry::Global().SnapshotJson(/*pretty=*/false)},
+       {"shards", shards + "}"}});
 }
 
-std::string Service::HandleShards(std::istream& in) {
+Service::Response Service::HandleShards(std::istream& in) {
   static MetricCounter* const reshards =
       MetricsRegistry::Global().GetCounter("service.reshards");
 
@@ -774,20 +802,12 @@ std::string Service::HandleShards(std::istream& in) {
   db->RegisterShardSet(table_name, *set);
   reshards->Increment();
 
-  std::string rows = "[";
-  bool first = true;
-  for (size_t r : (*set)->ShardRowCounts()) {
-    if (!first) rows += ", ";
-    first = false;
-    rows += std::to_string(r);
-  }
-  rows += "]";
-  return "{\"ok\": true, \"table\": \"" + JsonEscape(table_name) +
-         "\", \"shards\": " + std::to_string(count) + ", \"rows\": " + rows +
-         "}";
+  return OkWith({{"table", Quote(table_name)},
+                 {"shards", std::to_string(count)},
+                 {"rows", JsonArray((*set)->ShardRowCounts(), Count)}});
 }
 
-std::string Service::HandleAppend(std::istream& in) {
+Service::Response Service::HandleAppend(std::istream& in) {
   std::string table_name;
   if (!(in >> table_name)) {
     return Error("usage: append <table> <v1> [v2 ...] (`null` for NULL)");
@@ -812,13 +832,23 @@ std::string Service::HandleAppend(std::istream& in) {
   std::vector<Value> values;
   values.reserve(schema.num_fields());
   for (const Field& field : schema.fields()) {
+    // A value is a bare token, or a double-quoted string with backslash
+    // escapes (std::quoted's format) that may hold spaces. Only a bare
+    // `null` is NULL; a quoted "null" is the string.
     std::string token;
-    if (!(in >> token)) {
+    const bool quoted = (in >> std::ws).peek() == '"';
+    if (quoted) {
+      in >> std::quoted(token);
+      if (in.eof()) {
+        return Error("append: unterminated quoted value for column '" +
+                     field.name + "'");
+      }
+    } else if (!(in >> token)) {
       return Error("append: expected " + std::to_string(schema.num_fields()) +
                    " values (" + schema.ToString() + "), got " +
                    std::to_string(values.size()));
     }
-    if (token == "null") {
+    if (token == "null" && !quoted) {
       values.emplace_back();
       continue;
     }
@@ -853,11 +883,11 @@ std::string Service::HandleAppend(std::istream& in) {
   Status st = set->Append(values);
   if (!st.ok()) return Error(st);
   auto lease = set->ReadLease();  // concurrent appenders may still be running
-  return "{\"ok\": true, \"rows\": " + std::to_string(set->num_rows()) +
-         ", \"shard\": " + std::to_string(set->num_shards() - 1) + "}";
+  return OkWith({{"rows", Count(set->num_rows())},
+                 {"shard", Count(set->num_shards() - 1)}});
 }
 
-std::string Service::HandleSnapshot(std::istream& in) {
+Service::Response Service::HandleSnapshot(std::istream& in) {
   static MetricCounter* const saves =
       MetricsRegistry::Global().GetCounter("service.snapshot_saves");
   static MetricCounter* const loads =
@@ -869,71 +899,31 @@ std::string Service::HandleSnapshot(std::istream& in) {
 
   if (sub == "save") {
     ServiceSnapshot snapshot;
-    std::shared_ptr<Database> db;
-    std::vector<std::pair<std::string, std::shared_ptr<ManagedSession>>> live;
-    {
-      std::shared_lock<std::shared_mutex> lock(state_mu_);
-      db = db_;
-      for (const std::string& name : manager_->Names()) {
-        auto ms = manager_->Find(name);
-        if (ms != nullptr) live.emplace_back(name, std::move(ms));
-      }
-    }
-    for (auto& [name, ms] : live) {
-      // Per-session lock: each session is serialized mid-command-free
-      // into the snapshot (sessions are independent, so cross-session
-      // interleaving cannot produce a torn state). Sessions come
-      // BEFORE the shard leases below: a session command holds its
-      // mutex while taking a shard read lease, so acquiring in the
-      // opposite order here would be a lock-order inversion.
-      std::lock_guard<std::mutex> lock(ms->mu);
-      snapshot.sessions.push_back({name, ms->settings, ms->replay});
-    }
-    // Read-lease every sharded table BEFORE serializing so an append
-    // cannot tear a fused table mid-save; the leases stay held through
-    // WriteSnapshot. Only the boundaries are persisted — the restore
-    // rebuilds shard contents (and dictionaries) from the fused rows.
-    std::vector<std::shared_ptr<ShardSet>> sets;
-    std::vector<std::shared_lock<std::shared_mutex>> leases;
-    for (const std::string& name : db->ShardedNames()) {
-      auto set = db->GetShardSet(name);
-      if (set == nullptr) continue;
-      leases.push_back(set->ReadLease());
-      ServiceSnapshot::ShardLayout layout;
-      layout.table = name;
-      for (size_t rows : set->ShardRowCounts()) {
-        layout.shard_rows.push_back(rows);
-      }
-      snapshot.shard_layouts.push_back(std::move(layout));
-      sets.push_back(std::move(set));
-    }
-    for (const std::string& name : db->TableNames()) {
-      auto table = db->GetTable(name);
-      if (table.ok()) snapshot.tables.emplace_back(name, *table);
-    }
-    snapshot.retry_max_attempts = static_cast<uint32_t>(
-        retry_max_attempts_.load(std::memory_order_relaxed));
-    snapshot.retry_backoff_ms =
-        retry_backoff_ms_.load(std::memory_order_relaxed);
-    Status st = WriteSnapshot(path, snapshot);
+    Status st = SaveWorld(path, &snapshot, /*faults=*/nullptr);
     if (!st.ok()) return Error(st);
     saves->Increment();
-    return "{\"ok\": true, \"path\": \"" + JsonEscape(path) +
-           "\", \"tables\": " + std::to_string(snapshot.tables.size()) +
-           ", \"sharded\": " + std::to_string(snapshot.shard_layouts.size()) +
-           ", \"sessions\": " + std::to_string(snapshot.sessions.size()) + "}";
+    return OkWith({{"path", Quote(path)},
+                   {"tables", Count(snapshot.tables.size())},
+                   {"sharded", Count(snapshot.shard_layouts.size())},
+                   {"sessions", Count(snapshot.sessions.size())}});
   }
 
   if (sub == "load") {
+    // Dispatch holds the gate exclusively: the swap cannot interleave
+    // with a logged mutation or a checkpoint. With the WAL on, a
+    // checkpoint follows so the log's base matches the new world.
     auto snapshot = ReadSnapshot(path);
     if (!snapshot.ok()) return Error(snapshot.status());
     Status st = LoadWorld(*snapshot);
     if (!st.ok()) return Error(st);
     loads->Increment();
-    return "{\"ok\": true, \"tables\": " +
-           std::to_string(snapshot->tables.size()) +
-           ", \"sharded\": " + std::to_string(snapshot->shard_layouts.size()) +
-           ", \"sessions\": " + std::to_string(snapshot->sessions.size()) + "}";
+    if (wal_ != nullptr) {
+      st = CheckpointLocked();
+      if (!st.ok()) wal_last_error_ = st.ToString();
+    }
+    return OkWith({{"tables", Count(snapshot->tables.size())},
+                   {"sharded", Count(snapshot->shard_layouts.size())},
+                   {"sessions", Count(snapshot->sessions.size())}});
   }
 
   return Error("unknown snapshot subcommand '" + sub + "'");
@@ -1003,11 +993,8 @@ Status Service::LoadWorld(const ServiceSnapshot& snapshot) {
   return Status::OK();
 }
 
-void Service::CollectSnapshot(ServiceSnapshot* snapshot) {
-  // Only ever called with wal_gate_ held exclusively, which excludes
-  // every logged mutation — so unlike the gate-free `snapshot save`
-  // path, the shard leases here do not need to outlive this function:
-  // nothing can append to a fused table until the gate drops.
+Status Service::SaveWorld(const std::string& path, ServiceSnapshot* snapshot,
+                          FaultInjector* faults) {
   std::shared_ptr<Database> db;
   std::vector<std::pair<std::string, std::shared_ptr<ManagedSession>>> live;
   {
@@ -1019,21 +1006,33 @@ void Service::CollectSnapshot(ServiceSnapshot* snapshot) {
     }
   }
   for (auto& [name, ms] : live) {
-    // Unlogged commands (debug, reads) may still hold a session mutex;
-    // wait them out so each session lands mid-command-free.
+    // Per-session lock: each session is serialized mid-command-free
+    // into the snapshot (sessions are independent, so cross-session
+    // interleaving cannot produce a torn state). Sessions come BEFORE
+    // the shard leases below: a session command holds its mutex while
+    // taking a shard read lease, so acquiring in the opposite order
+    // here would be a lock-order inversion.
     std::lock_guard<std::mutex> lock(ms->mu);
     snapshot->sessions.push_back({name, ms->settings, ms->replay});
   }
+  // Read-lease every sharded table BEFORE serializing so an append
+  // cannot tear a fused table mid-save; the leases (and their sets, which
+  // a concurrent reshard could otherwise free) stay held through
+  // WriteSnapshot. Only the boundaries are persisted — the restore
+  // rebuilds shard contents (and dictionaries) from the fused rows.
+  std::vector<std::shared_ptr<ShardSet>> sets;
+  std::vector<std::shared_lock<std::shared_mutex>> leases;
   for (const std::string& name : db->ShardedNames()) {
     auto set = db->GetShardSet(name);
     if (set == nullptr) continue;
-    auto lease = set->ReadLease();
+    leases.push_back(set->ReadLease());
     ServiceSnapshot::ShardLayout layout;
     layout.table = name;
     for (size_t rows : set->ShardRowCounts()) {
       layout.shard_rows.push_back(rows);
     }
     snapshot->shard_layouts.push_back(std::move(layout));
+    sets.push_back(std::move(set));
   }
   for (const std::string& name : db->TableNames()) {
     auto table = db->GetTable(name);
@@ -1043,6 +1042,7 @@ void Service::CollectSnapshot(ServiceSnapshot* snapshot) {
       retry_max_attempts_.load(std::memory_order_relaxed));
   snapshot->retry_backoff_ms =
       retry_backoff_ms_.load(std::memory_order_relaxed);
+  return WriteSnapshot(path, *snapshot, faults);
 }
 
 Status Service::CheckpointLocked() {
@@ -1050,14 +1050,15 @@ Status Service::CheckpointLocked() {
   if (wal_faults_ != nullptr) {
     DBW_RETURN_NOT_OK(wal_faults_->Hit("checkpoint/begin"));
   }
+  // The exclusive gate excludes every logged command, so the durable
+  // lsn is exactly what the saved world holds. The write is tmp + fsync
+  // + atomic rename + dir fsync, so a crash anywhere in here leaves the
+  // PREVIOUS snapshot intact and the log untruncated — recovery just
+  // replays more.
   ServiceSnapshot snapshot;
-  CollectSnapshot(&snapshot);
   snapshot.wal_lsn = wal_->durable_lsn();
-  // The write is tmp + fsync + atomic rename + dir fsync, so a crash
-  // anywhere in here leaves the PREVIOUS snapshot intact and the log
-  // untruncated — recovery just replays more.
   DBW_RETURN_NOT_OK(
-      WriteSnapshot(wal_->dir() + "/snapshot.dbw", snapshot, wal_faults_));
+      SaveWorld(wal_->dir() + "/snapshot.dbw", &snapshot, wal_faults_));
   wal_snapshot_lsn_ = snapshot.wal_lsn;
   // Truncation only ever drops CLOSED segments, so rotate first: after
   // a quiet period the whole backlog is in the (now closed) last
@@ -1094,8 +1095,7 @@ void Service::MaybeAutoCheckpoint() {
   if (!st.ok()) wal_last_error_ = st.ToString();
 }
 
-void Service::ApplyWalLog(const std::string& logged_line,
-                          std::string* response,
+void Service::ApplyWalLog(const std::string& logged_line, Response* response,
                           std::unique_lock<std::mutex>* order) {
   WriteAheadLog* wal = wal_.get();  // stable: caller holds the shared gate
   if (wal == nullptr) return;
@@ -1113,9 +1113,9 @@ void Service::ApplyWalLog(const std::string& logged_line,
     // The gray zone: the command IS applied in memory but is NOT
     // durable — a crash now silently loses it. Deliberately not
     // "retryable": re-running the command would double-apply it.
-    *response = "{\"ok\": false, \"error\": \"" +
-                JsonEscape("wal append failed: " + st.ToString()) +
-                "\", \"durability\": \"lost\", \"applied\": true}";
+    *response = Error("wal append failed: " + st.ToString());
+    response->durability = "lost";
+    response->applied = true;
   }
 }
 
@@ -1183,7 +1183,7 @@ Status Service::EnableWalLocked(const std::string& dir) {
         // Only ok responses were logged, so a failure here means the
         // record no longer applies; count it rather than abort, since
         // later records may be independent of it.
-        if (!IsOkResponse(ExecuteCommand(body))) ++errors;
+        if (!ExecuteCommand(body).ok) ++errors;
         return Status::OK();
       }));
   wal_replayed_ = replayed;
@@ -1209,22 +1209,21 @@ Status Service::EnableWalLocked(const std::string& dir) {
   return Status::OK();
 }
 
-std::string Service::HandleWal(std::istream& in) {
+Service::Response Service::HandleWal(std::istream& in) {
   std::string sub;
   if (!(in >> sub)) return Error("usage: wal on <dir>|off|status|checkpoint");
 
   if (sub == "on") {
+    // Dispatch holds the gate exclusively with this thread as its
+    // owner, so recovery replays the log through the same dispatch.
     std::string dir;
     if (!(in >> dir)) return Error("usage: wal on <dir>");
-    std::unique_lock<std::shared_mutex> gate(wal_gate_);
-    gate_owner_.store(std::this_thread::get_id(), std::memory_order_release);
     Status st = EnableWalLocked(dir);
-    gate_owner_.store(std::thread::id(), std::memory_order_release);
     if (!st.ok()) return Error(st);
-    return "{\"ok\": true, \"wal\": \"on\", \"dir\": \"" + JsonEscape(dir) +
-           "\", \"replayed\": " + std::to_string(wal_replayed_) +
-           ", \"replay_errors\": " + std::to_string(wal_replay_errors_) +
-           ", \"recovery_ms\": " + FormatDouble(wal_recovery_ms_) + "}";
+    return OkWith({{"wal", "\"on\""}, {"dir", Quote(dir)},
+                   {"replayed", Count(wal_replayed_)},
+                   {"replay_errors", Count(wal_replay_errors_)},
+                   {"recovery_ms", FormatDouble(wal_recovery_ms_)}});
   }
 
   if (sub == "off") {
@@ -1247,38 +1246,36 @@ std::string Service::HandleWal(std::istream& in) {
     return OkWith("wal", "\"off\"");
   }
 
-  if (sub == "checkpoint") {
-    std::unique_lock<std::shared_mutex> gate(wal_gate_);
+  if (sub == "checkpoint") {  // dispatch holds the gate exclusively
     if (wal_ == nullptr) return Error("wal is off");
     Status st = CheckpointLocked();
     if (!st.ok()) return Error(st);
-    return "{\"ok\": true, \"checkpoint_lsn\": " +
-           std::to_string(wal_snapshot_lsn_) +
-           ", \"segments\": " + std::to_string(wal_->num_segments()) + "}";
+    return OkWith({{"checkpoint_lsn", std::to_string(wal_snapshot_lsn_)},
+                   {"segments", Count(wal_->num_segments())}});
   }
 
   if (sub == "status") {
     std::shared_lock<std::shared_mutex> gate(wal_gate_);
-    if (wal_ == nullptr) {
-      return "{\"ok\": true, \"enabled\": false, \"last_error\": \"" +
-             JsonEscape(wal_last_error_) + "\"}";
+    Response r;
+    r.Add("enabled", wal_ != nullptr ? "true" : "false");
+    if (wal_ != nullptr) {
+      const WalStats s = wal_->stats();
+      r.Add("dir", Quote(wal_->dir()));
+      r.Add("next_lsn", std::to_string(s.next_lsn));
+      r.Add("durable_lsn", std::to_string(s.durable_lsn));
+      r.Add("segments", Count(s.segments));
+      r.Add("wal_bytes", std::to_string(s.total_bytes));
+      r.Add("appends", std::to_string(s.appends));
+      r.Add("fsyncs", std::to_string(s.fsyncs));
+      r.Add("poisoned", s.poisoned ? "true" : "false");
+      r.Add("snapshot_lsn", std::to_string(wal_snapshot_lsn_));
+      r.Add("checkpoints", Count(wal_checkpoints_));
+      r.Add("replayed", Count(wal_replayed_));
+      r.Add("replay_errors", Count(wal_replay_errors_));
+      r.Add("recovery_ms", FormatDouble(wal_recovery_ms_));
     }
-    const WalStats s = wal_->stats();
-    return "{\"ok\": true, \"enabled\": true, \"dir\": \"" +
-           JsonEscape(wal_->dir()) +
-           "\", \"next_lsn\": " + std::to_string(s.next_lsn) +
-           ", \"durable_lsn\": " + std::to_string(s.durable_lsn) +
-           ", \"segments\": " + std::to_string(s.segments) +
-           ", \"wal_bytes\": " + std::to_string(s.total_bytes) +
-           ", \"appends\": " + std::to_string(s.appends) +
-           ", \"fsyncs\": " + std::to_string(s.fsyncs) +
-           ", \"poisoned\": " + (s.poisoned ? "true" : "false") +
-           ", \"snapshot_lsn\": " + std::to_string(wal_snapshot_lsn_) +
-           ", \"checkpoints\": " + std::to_string(wal_checkpoints_) +
-           ", \"replayed\": " + std::to_string(wal_replayed_) +
-           ", \"replay_errors\": " + std::to_string(wal_replay_errors_) +
-           ", \"recovery_ms\": " + FormatDouble(wal_recovery_ms_) +
-           ", \"last_error\": \"" + JsonEscape(wal_last_error_) + "\"}";
+    r.Add("last_error", Quote(wal_last_error_));
+    return r;
   }
 
   return Error("unknown wal subcommand '" + sub + "'");
@@ -1329,38 +1326,27 @@ Status RemoveWalSegments(const std::string& dir) {
 
 }  // namespace
 
-std::string Service::MaybeRejectForRole(const std::string& cmd,
-                                        std::istream& in) {
-  const bool follower = follower_.load(std::memory_order_acquire);
-  const bool fenced = repl_fenced_.load(std::memory_order_acquire);
-  if (!follower && !fenced) return std::string();
-
-  // Exactly the commands the WAL would log (state mutations), plus the
-  // durability-config commands that would fork the node's history.
-  bool mutating = IsLoggedSessionCommand(cmd) || cmd == "retry" ||
-                  cmd == "shards" || cmd == "append";
-  if (cmd == "session") mutating = PeekToken(in) == "drop";
-  if (cmd == "snapshot") mutating = PeekToken(in) == "load";
-  if (cmd == "wal") {
-    const std::string sub = PeekToken(in);
-    mutating = sub == "on" || sub == "off";
+std::optional<Service::Response> Service::OffPrimaryRefusal() const {
+  if (follower_.load(std::memory_order_acquire)) {
+    Response r = Error(
+        "not primary: this node is a read-only replica; retry against the "
+        "primary");
+    r.retryable = true;
+    r.reason = "not_primary";
+    r.retry_after_ms = options_.replication.not_primary_retry_after_ms;
+    return r;
   }
-  if (!mutating) return std::string();
-
-  if (follower) {
-    return "{\"ok\": false, \"error\": \"not primary: this node is a "
-           "read-only replica; retry against the primary\", "
-           "\"retryable\": true, \"reason\": \"not_primary\", "
-           "\"retry_after_ms\": " +
-           FormatDouble(options_.replication.not_primary_retry_after_ms) +
-           "}";
+  if (repl_fenced_.load(std::memory_order_acquire)) {
+    Response r = Error(
+        "epoch fenced: this primary (epoch " +
+        std::to_string(repl_epoch_.load(std::memory_order_acquire)) +
+        ") observed epoch " +
+        std::to_string(repl_seen_epoch_.load(std::memory_order_acquire)) +
+        " from a newer primary and can no longer accept writes");
+    r.reason = "fenced";
+    return r;
   }
-  return "{\"ok\": false, \"error\": \"epoch fenced: this primary (epoch " +
-         std::to_string(repl_epoch_.load(std::memory_order_acquire)) +
-         ") observed epoch " +
-         std::to_string(repl_seen_epoch_.load(std::memory_order_acquire)) +
-         " from a newer primary and can no longer accept writes\", "
-         "\"reason\": \"fenced\"}";
+  return std::nullopt;
 }
 
 Status Service::StartReplicationListenLocked(int port) {
@@ -1467,7 +1453,7 @@ Status Service::StartReplicationFollowLocked(const std::string& target) {
   return Status::OK();
 }
 
-std::string Service::HandleReplicate(std::istream& in) {
+Service::Response Service::HandleReplicate(std::istream& in) {
   std::string sub;
   if (!(in >> sub)) {
     return Error("usage: replicate listen <port>|from <host>:<port>|stop|status");
@@ -1486,9 +1472,8 @@ std::string Service::HandleReplicate(std::istream& in) {
       was_following = repl_client_ != nullptr;
     }
     StopReplication();
-    return std::string("{\"ok\": true, \"stopped_listener\": ") +
-           (was_listening ? "true" : "false") + ", \"stopped_follower\": " +
-           (was_following ? "true" : "false") + "}";
+    return OkWith({{"stopped_listener", was_listening ? "true" : "false"},
+                   {"stopped_follower", was_following ? "true" : "false"}});
   }
 
   std::lock_guard<std::mutex> repl(repl_mu_);
@@ -1499,75 +1484,66 @@ std::string Service::HandleReplicate(std::istream& in) {
     }
     Status st = StartReplicationListenLocked(port);
     if (!st.ok()) return Error(st);
-    return "{\"ok\": true, \"listening\": true, \"port\": " +
-           std::to_string(repl_server_->port()) + ", \"epoch\": " +
-           std::to_string(repl_epoch_.load(std::memory_order_acquire)) + "}";
+    const uint64_t epoch = repl_epoch_.load(std::memory_order_acquire);
+    return OkWith({{"listening", "true"},
+                   {"port", std::to_string(repl_server_->port())},
+                   {"epoch", std::to_string(epoch)}});
   }
   if (sub == "from") {
     std::string target;
     if (!(in >> target)) return Error("usage: replicate from <host>:<port>");
     Status st = StartReplicationFollowLocked(target);
     if (!st.ok()) return Error(st);
-    return "{\"ok\": true, \"following\": \"" + JsonEscape(target) +
-           "\", \"epoch\": " +
-           std::to_string(repl_epoch_.load(std::memory_order_acquire)) +
-           ", \"last_applied_lsn\": " +
-           std::to_string(repl_last_applied_.load(std::memory_order_acquire)) +
-           "}";
+    const uint64_t epoch = repl_epoch_.load(std::memory_order_acquire);
+    const uint64_t applied = repl_last_applied_.load(std::memory_order_acquire);
+    return OkWith({{"following", Quote(target)},
+                   {"epoch", std::to_string(epoch)},
+                   {"last_applied_lsn", std::to_string(applied)}});
   }
   return Error("unknown replicate subcommand '" + sub + "'");
 }
 
-std::string Service::HandleReplicationStatus() {
-  const bool follower = follower_.load(std::memory_order_acquire);
-  std::string out = std::string("{\"ok\": true, \"role\": \"") +
-                    (follower ? "follower" : "primary") + "\"";
-  out += ", \"epoch\": " +
-         std::to_string(repl_epoch_.load(std::memory_order_acquire));
-  out += ", \"seen_epoch\": " +
-         std::to_string(repl_seen_epoch_.load(std::memory_order_acquire));
-  out += std::string(", \"fenced\": ") +
-         (repl_fenced_.load(std::memory_order_acquire) ? "true" : "false");
-  out += ", \"last_applied_lsn\": " +
-         std::to_string(repl_last_applied_.load(std::memory_order_acquire));
-  {
-    std::lock_guard<std::mutex> repl(repl_mu_);
-    out += ", \"promotions\": " + std::to_string(repl_promotions_);
-    if (repl_server_ != nullptr) {
-      const ReplicationServer::Stats s = repl_server_->stats();
-      out += ", \"listening\": true, \"port\": " + std::to_string(s.port) +
-             ", \"followers\": " + std::to_string(s.followers) +
-             ", \"min_acked_lsn\": " + std::to_string(s.min_acked_lsn) +
-             ", \"frames_sent\": " + std::to_string(s.frames_sent) +
-             ", \"snapshots_sent\": " + std::to_string(s.snapshots_sent) +
-             ", \"epoch_refusals\": " + std::to_string(s.epoch_refusals);
-    } else {
-      out += ", \"listening\": false";
-    }
-    if (repl_client_ != nullptr) {
-      const ReplicationClient::Stats s = repl_client_->stats();
-      out += std::string(", \"following\": true, \"connected\": ") +
-             (s.connected ? "true" : "false") +
-             ", \"source_epoch\": " + std::to_string(s.source_epoch) +
-             ", \"source_durable_lsn\": " +
-             std::to_string(s.source_durable_lsn) +
-             ", \"reconnects\": " + std::to_string(s.reconnects) +
-             ", \"frames_applied\": " + std::to_string(s.frames_applied) +
-             ", \"snapshot_installs\": " + std::to_string(s.snapshot_installs) +
-             ", \"corrupt_frames\": " + std::to_string(s.corrupt_frames) +
-             std::string(", \"fenced_source\": ") +
-             (s.fenced ? "true" : "false") + ", \"stream_error\": \"" +
-             JsonEscape(s.last_error) + "\"";
-    } else {
-      out += ", \"following\": false";
-    }
-    out += ", \"last_error\": \"" + JsonEscape(repl_last_error_) + "\"";
+Service::Response Service::HandleReplicationStatus() {
+  auto flag = [](bool b) { return b ? "true" : "false"; };
+  auto num = [](uint64_t n) { return std::to_string(n); };
+  Response r;
+  r.Add("role", follower_.load(std::memory_order_acquire) ? "\"follower\""
+                                                          : "\"primary\"");
+  r.Add("epoch", num(repl_epoch_.load(std::memory_order_acquire)));
+  r.Add("seen_epoch", num(repl_seen_epoch_.load(std::memory_order_acquire)));
+  r.Add("fenced", flag(repl_fenced_.load(std::memory_order_acquire)));
+  r.Add("last_applied_lsn",
+        num(repl_last_applied_.load(std::memory_order_acquire)));
+  std::lock_guard<std::mutex> repl(repl_mu_);
+  r.Add("promotions", num(repl_promotions_));
+  r.Add("listening", flag(repl_server_ != nullptr));
+  if (repl_server_ != nullptr) {
+    const ReplicationServer::Stats s = repl_server_->stats();
+    r.Add("port", num(s.port));
+    r.Add("followers", num(s.followers));
+    r.Add("min_acked_lsn", num(s.min_acked_lsn));
+    r.Add("frames_sent", num(s.frames_sent));
+    r.Add("snapshots_sent", num(s.snapshots_sent));
+    r.Add("epoch_refusals", num(s.epoch_refusals));
   }
-  out += "}";
-  return out;
+  r.Add("following", flag(repl_client_ != nullptr));
+  if (repl_client_ != nullptr) {
+    const ReplicationClient::Stats s = repl_client_->stats();
+    r.Add("connected", flag(s.connected));
+    r.Add("source_epoch", num(s.source_epoch));
+    r.Add("source_durable_lsn", num(s.source_durable_lsn));
+    r.Add("reconnects", num(s.reconnects));
+    r.Add("frames_applied", num(s.frames_applied));
+    r.Add("snapshot_installs", num(s.snapshot_installs));
+    r.Add("corrupt_frames", num(s.corrupt_frames));
+    r.Add("fenced_source", flag(s.fenced));
+    r.Add("stream_error", Quote(s.last_error));
+  }
+  r.Add("last_error", Quote(repl_last_error_));
+  return r;
 }
 
-std::string Service::HandlePromote() {
+Service::Response Service::HandlePromote() {
   // A fenced stale primary stays fenced: its acknowledged history may
   // already have diverged from the new primary's, so promotion would
   // institutionalize a split brain. Explicit epoch error per the
@@ -1632,10 +1608,10 @@ std::string Service::HandlePromote() {
     std::lock_guard<std::mutex> repl(repl_mu_);
     ++repl_promotions_;
   }
-  return "{\"ok\": true, \"promoted\": true, \"epoch\": " +
-         std::to_string(new_epoch) + ", \"last_applied_lsn\": " +
-         std::to_string(repl_last_applied_.load(std::memory_order_acquire)) +
-         "}";
+  const uint64_t applied = repl_last_applied_.load(std::memory_order_acquire);
+  return OkWith({{"promoted", "true"},
+                 {"epoch", std::to_string(new_epoch)},
+                 {"last_applied_lsn", std::to_string(applied)}});
 }
 
 Status Service::ApplyReplicatedFrame(uint64_t lsn, uint64_t rid,
@@ -1645,10 +1621,10 @@ Status Service::ApplyReplicatedFrame(uint64_t lsn, uint64_t rid,
   // and internal logging, and cannot interleave with a checkpoint.
   std::unique_lock<std::shared_mutex> gate(wal_gate_);
   gate_owner_.store(std::this_thread::get_id(), std::memory_order_release);
-  std::string response;
+  bool applied_ok = false;
   {
     RequestScope scope(rid);
-    response = ExecuteCommand(body);
+    applied_ok = ExecuteCommand(body).ok;
   }
   // Mirror the frame into the local log at exactly the primary's LSN,
   // and make it durable before acking — the primary then knows acked
@@ -1673,7 +1649,7 @@ Status Service::ApplyReplicatedFrame(uint64_t lsn, uint64_t rid,
   repl_last_applied_.store(lsn, std::memory_order_release);
   MetricsRegistry::Global().GetGauge("repl.last_applied_lsn")->Set(
       static_cast<int64_t>(lsn));
-  if (!IsOkResponse(response)) {
+  if (!applied_ok) {
     // Only ok responses were logged on the primary, so a not-ok here
     // means the replica drifted semantically; count it loudly but keep
     // the stream alive — the frame is recorded either way.
@@ -1807,96 +1783,64 @@ void Service::StopReplication() {
 
 // --- Request telemetry (DESIGN.md §5k) ---
 
-std::string Service::HandleHistory(std::istream& in) {
+Service::Response Service::HandleHistory(std::istream& in) {
   std::string metric;
   in >> metric;
+  Response r;
 
   if (metric.empty()) {
     // No metric: describe the store (series names + configuration).
-    std::string names = "[";
-    bool first = true;
-    for (const std::string& name : history_.Names()) {
-      if (!first) names += ", ";
-      first = false;
-      names += "\"" + JsonEscape(name) + "\"";
-    }
-    names += "]";
-    return std::string("{\"ok\": true, \"sampling\": ") +
-           (options_.telemetry.history_enabled ? "true" : "false") +
-           ", \"interval_ms\": " +
-           FormatDouble(options_.telemetry.sample_interval_ms) +
-           ", \"points_per_series\": " +
-           std::to_string(history_.points_per_series()) +
-           ", \"memory_bytes\": " + std::to_string(history_.MemoryBytes()) +
-           ", \"series\": " + names + "}";
+    r.Add("sampling", options_.telemetry.history_enabled ? "true" : "false");
+    r.Add("interval_ms", FormatDouble(options_.telemetry.sample_interval_ms));
+    r.Add("points_per_series", Count(history_.points_per_series()));
+    r.Add("memory_bytes", Count(history_.MemoryBytes()));
+    r.Add("series", JsonArray(history_.Names(), Quote));
+    return r;
   }
 
   double window_ms = 0.0;  // <= 0: the whole ring
   in >> window_ms;
-  const std::vector<TelemetryHistory::Point> points =
-      history_.Query(metric, window_ms, MonotonicMillis());
-  std::string out = "[";
-  bool first = true;
-  for (const TelemetryHistory::Point& p : points) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"t_ms\": " + FormatDouble(p.t_ms) +
-           ", \"value\": " + FormatDouble(p.value) + "}";
-  }
-  out += "]";
-  return "{\"ok\": true, \"metric\": \"" + JsonEscape(metric) +
-         "\", \"points\": " + out + "}";
+  r.Add("metric", Quote(metric));
+  r.Add("points",
+        JsonArray(history_.Query(metric, window_ms, MonotonicMillis()),
+                  [](const TelemetryHistory::Point& p) {
+                    return "{\"t_ms\": " + FormatDouble(p.t_ms) +
+                           ", \"value\": " + FormatDouble(p.value) + "}";
+                  }));
+  return r;
 }
 
-std::string Service::HandleSlowlog() {
-  std::string entries = "[";
+Service::Response Service::HandleSlowlog() {
+  std::string entries;
   {
     std::lock_guard<std::mutex> lock(slowlog_mu_);
-    bool first = true;
-    for (const std::string& entry : slowlog_) {
-      if (!first) entries += ", ";
-      first = false;
-      entries += entry;  // already a JSON object
-    }
+    // Entries are already JSON objects.
+    entries = JsonArray(slowlog_, [](const std::string& e) { return e; });
   }
-  entries += "]";
-  return "{\"ok\": true, \"threshold_ms\": " + FormatDouble(slow_threshold_ms_) +
-         ", \"entries\": " + entries + "}";
+  return OkWith({{"threshold_ms", FormatDouble(slow_threshold_ms_)},
+                 {"entries", entries}});
 }
 
 void Service::MaybeSlowLog(uint64_t rid, const std::string& line,
-                           double elapsed_ms, const std::string& response) {
+                           double elapsed_ms, const Response& response) {
   if (slow_threshold_ms_ < 0.0 || elapsed_ms < slow_threshold_ms_) return;
   static MetricCounter* const slow =
       MetricsRegistry::Global().GetCounter("service.slow_requests");
   slow->Increment();
 
-  std::string entry = "{\"rid\": " + std::to_string(rid) + ", \"cmd\": \"" +
-                      JsonEscape(CommandLabel(line)) +
-                      "\", \"elapsed_ms\": " + FormatDouble(elapsed_ms) +
-                      ", \"ok\": " + (IsOkResponse(response) ? "true" : "false");
-  // Shed/degrade responses carry a machine-readable "reason"; surface
-  // it so the slow log says WHY without a second lookup.
-  const std::string reason_key = "\"reason\": \"";
-  const size_t reason_pos = response.find(reason_key);
-  if (reason_pos != std::string::npos) {
-    const size_t start = reason_pos + reason_key.size();
-    // The value is JSON-escaped in the response, so the closing quote is
-    // the first UNescaped '"' — skip backslash escapes (\" and \\) so an
-    // escaped quote inside the reason doesn't truncate it.
-    size_t end = start;
-    while (end < response.size() && response[end] != '"') {
-      end += (response[end] == '\\') ? 2 : 1;
-    }
-    if (end < response.size()) {
-      entry += ", \"reason\": \"" + response.substr(start, end - start) + "\"";
-    }
+  std::string entry = "{\"rid\": " + std::to_string(rid) +
+                      ", \"cmd\": " + Quote(CommandLabel(line)) +
+                      ", \"elapsed_ms\": " + FormatDouble(elapsed_ms) +
+                      ", \"ok\": " + (response.ok ? "true" : "false");
+  // Shed/degrade responses carry a machine-readable reason; surface it
+  // so the slow log says WHY without a second lookup.
+  if (!response.reason.empty()) {
+    entry += ", \"reason\": " + Quote(response.reason);
   }
-  // A slow debug gets its stage breakdown and cache hits from the
-  // profile the same thread just produced.
-  if (tl_last_debug.rid == rid && rid != 0) {
-    entry += ", \"stages\": " + tl_last_debug.stages_json +
-             ", \"cache_hits\": " + std::to_string(tl_last_debug.cache_hits);
+  // A slow debug gets its stage breakdown and cache hits.
+  if (!response.debug_stages.empty()) {
+    entry += ", \"stages\": " + response.debug_stages +
+             ", \"cache_hits\": " + std::to_string(response.debug_cache_hits);
   }
   entry += "}";
 
@@ -2040,7 +1984,7 @@ void Service::WatchdogScan() {
   }
 }
 
-std::string Service::RunDebug(ManagedSession& ms) {
+Service::Response Service::RunDebug(ManagedSession& ms) {
   DBW_TRACE_SPAN("service/debug");
   static MetricCounter* const retries =
       MetricsRegistry::Global().GetCounter("service.retries");
@@ -2108,27 +2052,23 @@ std::string Service::RunDebug(ManagedSession& ms) {
   rank_h->Observe(exp->profile.rank_ms);
   total_h->Observe(exp->profile.total_ms);
 
-  tl_last_debug.rid = exp->profile.rid;
-  tl_last_debug.cache_hits = exp->profile.cache_hits;
-  tl_last_debug.stages_json =
+  Response r;
+  if (exp->partial) {
+    r.partial = true;
+    r.reason = exp->partial_reason;
+  }
+  r.Add("explanation", ExplanationToJson(*exp, /*pretty=*/false));
+  if (ms.settings.profile_enabled) {
+    r.Add("profile", ExplainProfileToJson(exp->profile, /*pretty=*/false));
+  }
+  r.debug_cache_hits = exp->profile.cache_hits;
+  r.debug_stages =
       "{\"preprocess_ms\": " + FormatDouble(exp->profile.preprocess_ms) +
       ", \"enumerate_ms\": " + FormatDouble(exp->profile.enumerate_ms) +
       ", \"predicates_ms\": " + FormatDouble(exp->profile.predicates_ms) +
       ", \"rank_ms\": " + FormatDouble(exp->profile.rank_ms) +
       ", \"total_ms\": " + FormatDouble(exp->profile.total_ms) + "}";
-
-  std::string profile_field;
-  if (ms.settings.profile_enabled) {
-    profile_field = ", \"profile\": " +
-                    ExplainProfileToJson(exp->profile, /*pretty=*/false);
-  }
-  if (exp->partial) {
-    return "{\"ok\": true, \"partial\": true, \"reason\": \"" +
-           JsonEscape(exp->partial_reason) + "\", \"explanation\": " +
-           ExplanationToJson(*exp, /*pretty=*/false) + profile_field + "}";
-  }
-  return "{\"ok\": true, \"explanation\": " +
-         ExplanationToJson(*exp, /*pretty=*/false) + profile_field + "}";
+  return r;
 }
 
 // --- Admission queue ---
@@ -2184,9 +2124,9 @@ std::future<std::string> Service::Submit(std::string line) {
 
   std::lock_guard<std::mutex> lock(queue_mu_);
   if (!running_.load(std::memory_order_acquire) || stopping_) {
-    std::string response = NotRunningResponse();
-    StampRid(&response, rid);
-    promise.set_value(std::move(response));
+    Response r = Error("service is not running");
+    r.reason = "not_running";
+    promise.set_value(r.Serialize(rid));
     return future;
   }
   if (queue_.size() >= options_.queue_capacity ||
@@ -2195,9 +2135,11 @@ std::future<std::string> Service::Submit(std::string line) {
     // unboundedly — the client gets a well-formed retryable error in
     // microseconds, not a timeout in seconds.
     shed->Increment();
-    std::string response = ShedResponse(options_.shed_retry_after_ms);
-    StampRid(&response, rid);
-    promise.set_value(std::move(response));
+    Response r = Error("overloaded: request queue is full");
+    r.retryable = true;
+    r.reason = "overloaded";
+    r.retry_after_ms = options_.shed_retry_after_ms;
+    promise.set_value(r.Serialize(rid));
     return future;
   }
   queued_bytes_ += line.size();

@@ -4,10 +4,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -25,6 +27,37 @@ namespace dbwipes {
 struct ServiceSnapshot;  // core/snapshot.h
 class ReplicationServer;  // replication/replication.h
 class ReplicationClient;
+
+/// What a command (or one of its subcommands) does to replicated state:
+/// the closed vocabulary the Service's command table is written in.
+/// Role refusal and WAL logging both derive from it, so "logged"
+/// implies "refused on a follower" by construction.
+enum class CommandKind : uint8_t {
+  /// Accepted on followers; never logged.
+  kRead,
+  /// Refused on followers and fenced primaries; WAL-logged when it
+  /// answers ok, so recovery and replication re-execute it.
+  kLogged,
+  /// Refused on followers and fenced primaries, but not logged: node
+  /// configuration, with the reason stated in its table entry.
+  kNodeConfig,
+};
+
+inline bool CommandKindIsLogged(CommandKind kind) {
+  return kind == CommandKind::kLogged;
+}
+inline bool CommandKindIsPrimaryOnly(CommandKind kind) {
+  return kind != CommandKind::kRead;
+}
+
+/// The locks the dispatcher holds around a command's handler, in lock
+/// order: the checkpoint gate, then an ordering lock.
+enum class CommandLock : uint8_t {
+  kNone,           ///< none; the handler takes what its reads need
+  kSession,        ///< the session mutex (plus the shared gate if logged)
+  kGateOrdered,    ///< the shared gate plus the process-wide order lock
+  kExclusiveGate,  ///< the checkpoint gate, exclusively
+};
 
 /// \brief Configuration for the resilient service layer.
 struct ServiceOptions {
@@ -172,7 +205,8 @@ struct ServiceOptions {
 ///                                run shard-parallel
 ///   append <table> <v1> ...      append one row to a sharded table's
 ///                                tail shard (one value per schema
-///                                column; `null` for NULL)
+///                                column; `null` for NULL; "double
+///                                quoted" values may hold spaces)
 ///   stats                        process-wide metrics snapshot (JSON)
 ///                                plus per-table shard layout: shard
 ///                                count, per-shard row counts, cached
@@ -200,29 +234,26 @@ struct ServiceOptions {
 ///                                Chrome trace_event JSON
 ///
 /// Every response is a JSON object: {"ok": true, ...} on success or
-/// {"ok": false, "error": "..."} on failure — errors never throw.
-/// Every response additionally carries "rid": N, the request's
+/// {"ok": false, "error": "..."} on failure — errors never throw —
+/// with its fields in the order Service::Response serializes them
+/// (the wire contract). Every response carries "rid": N, the request's
 /// process-unique id, which the same request stamps into its trace
-/// spans, log lines, ExplainProfile, and WAL frames (end-to-end
-/// correlation; DESIGN.md §5k). An unknown subcommand of a multi-word
-/// command (e.g. `profile bogus`)
-/// fails with the offending token in the error. Failures that may
-/// clear on their own (overload, session-limit, I/O) additionally
-/// carry "retryable": true. A debug run wound down early by a
-/// deadline, cancel, or budget responds {"ok": true, "partial": true,
-/// "reason": "...", ...}.
+/// spans, log lines, ExplainProfile, and WAL frames (DESIGN.md §5k).
+/// An unknown subcommand (e.g. `profile bogus`) fails with the
+/// offending token in the error. Failures that may clear on their own
+/// (overload, session-limit, I/O) carry "retryable": true. A debug run
+/// wound down early by a deadline, cancel, or budget responds
+/// {"ok": true, "partial": true, "reason": "...", ...}.
 ///
-/// Durability: with the WAL on, every acknowledged state-mutating
-/// command (sql/selection/metric/clean/undo/reset/settings, append,
-/// shards, retry, session drop) is logged — and group-commit fsynced —
-/// BEFORE its ok response returns, so a crash after the ack never
-/// loses it: recovery = latest valid snapshot + replay of newer log
-/// records. Should the log append itself fail after the in-memory
-/// apply, the response reports {"ok": false, "durability": "lost",
-/// "applied": true} — the operation took effect but is not crash-safe
-/// (deliberately NOT marked retryable: re-running it would double-
-/// apply). Reads (debug/result/state/stats) and `cancel` are never
-/// logged and never wait on the checkpoint gate.
+/// Durability: with the WAL on, every acknowledged kLogged command (see
+/// Commands()) is logged — and group-commit fsynced — BEFORE its ok
+/// response returns, so a crash after the ack never loses it: recovery
+/// = latest valid snapshot + replay of newer log records. Should the
+/// log append itself fail after the in-memory apply, the response
+/// reports {"ok": false, "durability": "lost", "applied": true} — the
+/// operation took effect but is not crash-safe (deliberately NOT
+/// retryable: re-running it would double-apply). kRead commands are
+/// never logged and never wait on the checkpoint gate.
 ///
 /// Threading: Execute() is fully thread-safe — commands on the same
 /// session serialize on that session's mutex while commands on
@@ -242,6 +273,37 @@ class Service {
 
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
+
+  struct Response;  // a response before serialization (service.cc)
+  struct Call;      // one command invocation (service.cc)
+
+  /// One row of the command table.
+  struct Command {
+    /// What one subcommand does; `sub` is the word it matches, or
+    /// nullptr for a command without subcommands.
+    struct Variant {
+      const char* sub;
+      CommandKind kind;
+      CommandLock lock;
+      /// kNodeConfig only: why the variant is refused but not logged.
+      const char* reason = "";
+    };
+
+    const char* name;
+    bool session_scope;  ///< resolves the `@session` route first
+    std::vector<Variant> variants;
+    Response (*handler)(Service&, Call&);
+    /// Rewrites the line the WAL records; nullptr records it as sent.
+    std::string (*log_line)(const Call&) = nullptr;
+
+    /// The variant the subcommand word `sub` selects. An unknown word
+    /// selects a lock-free kRead variant; the handler reports it.
+    const Variant& Select(const std::string& sub) const;
+  };
+
+  /// The command table: the single source of dispatch, role refusal,
+  /// WAL logging, locking and the command label (see service.cc).
+  static const std::vector<Command>& Commands();
 
   /// Executes one command line synchronously, returning the JSON
   /// response. Thread-safe (see class comment).
@@ -293,22 +355,18 @@ class Service {
   /// Execute body with an externally-assigned request id (Submit
   /// assigns at admission; Execute assigns fresh).
   std::string ExecuteWithRid(const std::string& line, uint64_t rid);
-  /// Execute minus the command/error accounting.
-  std::string ExecuteCommand(const std::string& line);
-  /// The per-session command dispatch (caller holds the session mutex).
-  std::string ExecuteSessionCommand(ManagedSession& ms,
-                                    const std::string& cmd,
-                                    std::istream& in);
-  std::string RunDebug(ManagedSession& ms);
-  std::string HandleSession(std::istream& in);
-  std::string HandleSnapshot(std::istream& in);
-  std::string HandleRetry(std::istream& in);
-  std::string HandleStats();
-  std::string HandleShards(std::istream& in);
-  std::string HandleAppend(std::istream& in);
-  std::string HandleWal(std::istream& in);
-  std::string HandleHistory(std::istream& in);
-  std::string HandleSlowlog();
+  /// Execute minus the accounting: the table-driven dispatch.
+  Response ExecuteCommand(const std::string& line);
+  Response RunDebug(ManagedSession& ms);
+  Response HandleSession(std::istream& in);
+  Response HandleSnapshot(std::istream& in);
+  Response HandleRetry(std::istream& in);
+  Response HandleStats();
+  Response HandleShards(std::istream& in);
+  Response HandleAppend(std::istream& in);
+  Response HandleWal(std::istream& in);
+  Response HandleHistory(std::istream& in);
+  Response HandleSlowlog();
   RetryPolicy CurrentRetryPolicy() const;
   void WorkerLoop();
 
@@ -323,7 +381,7 @@ class Service {
   /// Appends a slow-request entry (and mirrors it to stderr) when the
   /// request's wall time crosses the threshold.
   void MaybeSlowLog(uint64_t rid, const std::string& line, double elapsed_ms,
-                    const std::string& response);
+                    const Response& response);
   void StartTelemetryThreads();
   void StopTelemetryThreads();
   void SamplerLoop();
@@ -335,9 +393,10 @@ class Service {
 
   /// Serializes the whole live world — every session (under its mutex)
   /// then every shard layout (under its read lease) then the tables —
-  /// into `snapshot`. The same collection the `snapshot save` command
-  /// performs; prefix-consistent against concurrent appends.
-  void CollectSnapshot(ServiceSnapshot* snapshot);
+  /// into `snapshot` and writes it to `path`, prefix-consistent against
+  /// concurrent appends (`snapshot save` and checkpoints).
+  Status SaveWorld(const std::string& path, ServiceSnapshot* snapshot,
+                   FaultInjector* faults);
   /// Validates and rebuilds a world from `snapshot` off to the side,
   /// then swaps it in under a brief exclusive state_mu_ hold (the
   /// `snapshot load` body). Any failure leaves the live state intact.
@@ -351,16 +410,13 @@ class Service {
   Status CheckpointLocked();
   /// Auto-checkpoint probe run after every command (outside all locks).
   void MaybeAutoCheckpoint();
-  /// Appends `logged_line` to the WAL (no-op when off); on failure
-  /// rewrites *response into the durability-lost error. Caller holds
-  /// the gate shared (or is the gate owner) plus the order-defining
-  /// lock (session mutex / append_wal_mu_).
-  /// Stages `logged_line` into the WAL, releases `order` (when given),
-  /// then blocks for durability — staging under the caller's ordering
-  /// lock keeps log order == apply order, while waiting outside it
-  /// lets concurrent clients share one group-commit fsync. On failure
-  /// rewrites `*response` to the durability-lost form.
-  void ApplyWalLog(const std::string& logged_line, std::string* response,
+  /// Stages `logged_line` into the WAL (no-op when off), releases
+  /// `order` (when given), then blocks for durability — staging under
+  /// the caller's ordering lock keeps log order == apply order, while
+  /// waiting outside it lets concurrent clients share one group-commit
+  /// fsync. On failure rewrites `*response` to the durability-lost
+  /// form. Caller holds the gate shared plus the ordering lock.
+  void ApplyWalLog(const std::string& logged_line, Response* response,
                    std::unique_lock<std::mutex>* order = nullptr);
   bool ReplayingOnThisThread() const {
     return gate_owner_.load(std::memory_order_acquire) ==
@@ -369,14 +425,13 @@ class Service {
 
   // --- Replication (DESIGN.md §5l) ---
 
-  /// Rejects state-mutating commands on a follower (retryable
-  /// not_primary) or on a fenced stale primary (terminal). Returns the
-  /// rejection response, or "" when the command may proceed. `in` is
-  /// only peeked, never consumed.
-  std::string MaybeRejectForRole(const std::string& cmd, std::istream& in);
-  std::string HandleReplicate(std::istream& in);
-  std::string HandleReplicationStatus();
-  std::string HandlePromote();
+  /// The refusal of a primary-only command on a follower (retryable
+  /// not_primary) or on a fenced stale primary (terminal fenced);
+  /// nullopt when this node may run it.
+  std::optional<Response> OffPrimaryRefusal() const;
+  Response HandleReplicate(std::istream& in);
+  Response HandleReplicationStatus();
+  Response HandlePromote();
   /// Caller holds repl_mu_. Lock order: repl_mu_, then wal_gate_.
   Status StartReplicationListenLocked(int port);
   Status StartReplicationFollowLocked(const std::string& target);
@@ -455,8 +510,8 @@ class Service {
   /// re-entrant ExecuteCommand calls (replay) skip gate acquisition
   /// and logging.
   std::atomic<std::thread::id> gate_owner_{};
-  /// Serializes apply+log for process-wide mutations (append/shards/
-  /// retry/session drop) so WAL order matches apply order; per-session
+  /// The ordering lock of kGateOrdered commands (process-wide
+  /// mutations), so WAL order matches apply order; per-session
   /// commands get the same guarantee from the session mutex.
   std::mutex append_wal_mu_;
   /// Non-null while the WAL is on. Written under the exclusive gate,

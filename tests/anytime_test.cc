@@ -226,6 +226,36 @@ TEST(FaultMatrixTest, EverySiteCancelsToPartial) {
   }
 }
 
+/// A run interrupted inside dataset enumeration still reports the time
+/// that stage took: the profile's stage clocks cover the run however it
+/// ended, and never add up to more than its total.
+TEST(FaultMatrixTest, InterruptedStageKeepsItsClock) {
+  auto db = MakeSmallDb();
+  Session session(db);
+  ASSERT_TRUE(
+      session.ExecuteSql("SELECT g, avg(v) AS a FROM w GROUP BY g").ok());
+  ASSERT_TRUE(session.SelectResultsInRange("a", 20, 1e9).ok());
+  ASSERT_TRUE(session.SetMetric(TooHigh(12.0)).ok());
+
+  auto source = std::make_shared<CancellationSource>();
+  FaultInjector faults;
+  FaultInjector::Fault fault;
+  fault.latency_ms = 2.0;  // the stage visibly takes time before the trip
+  fault.trip = source;
+  faults.Arm("enumerate/datasets", fault);
+  ExecContext ctx;
+  ctx.token = source->token();
+  ctx.faults = &faults;
+  auto exp = session.Debug(ctx);
+  ASSERT_TRUE(exp.ok()) << exp.status().ToString();
+  ASSERT_TRUE(exp->partial);
+  const ExplainProfile& p = exp->profile;
+  EXPECT_GT(p.enumerate_ms, 0.0);
+  EXPECT_EQ(p.predicates_ms, 0.0);
+  EXPECT_LE(p.preprocess_ms + p.enumerate_ms + p.predicates_ms + p.rank_ms,
+            p.total_ms);
+}
+
 /// Latency faults exercise the sites' pass-through path: the pipeline
 /// must still complete (and completely) when a site merely stalls.
 TEST(FaultMatrixTest, LatencyFaultsDoNotChangeResults) {

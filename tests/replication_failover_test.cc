@@ -17,8 +17,8 @@
 // BEFORE the workload for streaming-path kills, and only AFTER a
 // checkpoint truncates the log for snapshot-bootstrap kills, so the
 // matrix includes deaths during the snapshot transfer itself. The
-// suite self-provides main(): the forked child must run the workload
-// directly, not gtest.
+// suite self-provides main(): the forked child re-executes this binary
+// with kPrimaryFlag and runs the workload directly, not gtest.
 //
 // DBWIPES_FAILOVER_RUNS scales the total run count (default sized so
 // a full pass exceeds 100 randomized kill points).
@@ -109,6 +109,8 @@ bool RunSetup(Service& service) {
          IsOk(service.Execute("metric too_high 12")) &&
          IsOk(service.Execute("shards w 4"));
 }
+
+constexpr const char* kPrimaryFlag = "--failover-primary";
 
 /// The forked primary's workload. Never returns — exits 0 (workload
 /// complete and the follower drained), kFaultCrashExit (the armed
@@ -223,6 +225,14 @@ FailoverOutcome RunFailoverOnce(const KillMode& mode, Rng& rng,
       mode.skip_range > 0 ? rng.UniformInt(mode.skip_range) : 0;
   const size_t short_write =
       mode.short_write_range > 0 ? rng.UniformInt(mode.short_write_range) : 0;
+  // The child execs a fresh copy of this binary as the primary: the
+  // parent may already run thread-pool workers, and a multi-threaded
+  // process's forked child may not start threads (ThreadSanitizer
+  // refuses to). Its arguments are built before fork, since the child
+  // may only call async-signal-safe functions until exec.
+  const std::string fd_text = std::to_string(pipe_fds[1]);
+  const std::string skip_text = std::to_string(skip);
+  const std::string short_text = std::to_string(short_write);
   const pid_t pid = ::fork();
   if (pid < 0) {
     ADD_FAILURE() << "fork: " << std::strerror(errno);
@@ -232,7 +242,10 @@ FailoverOutcome RunFailoverOnce(const KillMode& mode, Rng& rng,
   }
   if (pid == 0) {
     ::close(pipe_fds[0]);
-    RunPrimaryChild(dir, pipe_fds[1], mode.site, skip, short_write);
+    ::execl("/proc/self/exe", "replication_failover_test", kPrimaryFlag,
+            dir.c_str(), fd_text.c_str(), mode.site, skip_text.c_str(),
+            short_text.c_str(), static_cast<char*>(nullptr));
+    ::_exit(3);
   }
   ::close(pipe_fds[1]);
 
@@ -406,6 +419,12 @@ TEST(ReplicationFailoverTest, KillMatrixPromotedFollowerIsAnAckedPrefix) {
 }  // namespace dbwipes
 
 int main(int argc, char** argv) {
+  // argv: kPrimaryFlag dir ack_fd site skip short_write_limit
+  if (argc == 7 && std::strcmp(argv[1], dbwipes::kPrimaryFlag) == 0) {
+    dbwipes::RunPrimaryChild(argv[2], std::atoi(argv[3]), argv[4],
+                             std::strtoull(argv[5], nullptr, 10),
+                             std::strtoull(argv[6], nullptr, 10));
+  }
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }

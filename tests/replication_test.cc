@@ -1,7 +1,8 @@
 // Primary/follower replication (DESIGN.md §5l): wire protocol framing,
 // epoch persistence, live WAL streaming into a read-only follower,
 // snapshot catch-up once the primary has truncated, follower restart
-// resume, promote + epoch fencing in both directions, and the
+// resume, quoted FEC appends through recovery and the stream, promote +
+// epoch fencing in both directions, and the
 // repl/* fault-site matrix (reconnect with backoff, corrupt-frame
 // detection). The replica-correctness oracle throughout: a follower's
 // `debug` ranking is byte-identical to the primary's.
@@ -10,138 +11,22 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dbwipes/common/metrics.h"
-#include "dbwipes/common/random.h"
 #include "dbwipes/common/retry.h"
 #include "dbwipes/core/service.h"
+#include "dbwipes/datagen/fec_generator.h"
 #include "dbwipes/replication/replication.h"
+#include "replication_fixture.h"
 
 namespace dbwipes {
 namespace {
 
-std::string TempDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" +
-                          std::to_string(::getpid()) + "_repl_" + name;
-  std::system(("rm -rf '" + dir + "'").c_str());
-  return dir;
-}
-
-std::shared_ptr<Database> MakeDb() {
-  Rng rng(53);
-  auto t = std::make_shared<Table>(Schema{{"g", DataType::kInt64},
-                                          {"tag", DataType::kString},
-                                          {"v", DataType::kDouble}},
-                                   "w");
-  for (int g = 0; g < 4; ++g) {
-    for (int i = 0; i < 40; ++i) {
-      const bool bad = g >= 2 && i < 8;
-      DBW_CHECK_OK(t->AppendRow({Value(static_cast<int64_t>(g)),
-                                 Value(bad ? "bad" : "fine"),
-                                 Value(bad ? rng.Normal(100, 2)
-                                           : rng.Normal(10, 2))}));
-    }
-  }
-  auto db = std::make_shared<Database>();
-  db->RegisterTable(t);
-  return db;
-}
-
-bool IsOk(const std::string& response) {
-  return response.compare(0, 11, "{\"ok\": true") == 0;
-}
-
-long long JsonInt(const std::string& response, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const size_t at = response.find(needle);
-  EXPECT_NE(at, std::string::npos) << key << " missing in " << response;
-  if (at == std::string::npos) return -1;
-  return std::strtoll(response.c_str() + at + needle.size(), nullptr, 10);
-}
-
-bool JsonBool(const std::string& response, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const size_t at = response.find(needle);
-  EXPECT_NE(at, std::string::npos) << key << " missing in " << response;
-  return at != std::string::npos &&
-         response.compare(at + needle.size(), 4, "true") == 0;
-}
-
-bool WaitUntil(const std::function<bool()>& pred, double timeout_ms = 15000) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(static_cast<long>(timeout_ms));
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return pred();
-}
-
-/// The deterministic tail of a debug response (ranked predicates).
-std::string RankedPredicates(const std::string& debug_response) {
-  const size_t at = debug_response.find("\"predicates\":[");
-  EXPECT_NE(at, std::string::npos) << debug_response.substr(0, 200);
-  return at == std::string::npos ? debug_response : debug_response.substr(at);
-}
-
-ServiceOptions PrimaryOptions(const std::string& dir,
-                              FaultInjector* faults = nullptr) {
-  ServiceOptions options;
-  options.wal.dir = dir;
-  options.replication.listen_port = 0;  // ephemeral
-  options.replication.faults = faults;
-  return options;
-}
-
-ServiceOptions FollowerOptions(const std::string& wal_dir, int primary_port,
-                               FaultInjector* faults = nullptr) {
-  ServiceOptions options;
-  options.wal.dir = wal_dir;  // may be empty: memory-only follower
-  options.replication.follow = "127.0.0.1:" + std::to_string(primary_port);
-  options.replication.heartbeat_timeout_ms = 500.0;
-  options.replication.reconnect.initial_backoff_ms = 5.0;
-  options.replication.reconnect.max_backoff_ms = 50.0;
-  options.replication.faults = faults;
-  return options;
-}
-
-int PrimaryPort(Service& primary) {
-  const std::string status = primary.Execute("replication status");
-  EXPECT_TRUE(JsonBool(status, "listening")) << status;
-  return static_cast<int>(JsonInt(status, "port"));
-}
-
-uint64_t PrimaryDurableLsn(Service& primary) {
-  return static_cast<uint64_t>(
-      JsonInt(primary.Execute("wal status"), "durable_lsn"));
-}
-
-bool FollowerCaughtUp(Service& follower, uint64_t lsn) {
-  return static_cast<uint64_t>(JsonInt(follower.Execute("replication status"),
-                                       "last_applied_lsn")) >= lsn;
-}
-
-/// Identical session/query setup on the primary; the stream must carry
-/// all of it to the follower.
-void RunPrimaryWorkload(Service& primary, int appends) {
-  ASSERT_TRUE(IsOk(
-      primary.Execute("sql SELECT g, avg(v) AS a FROM w GROUP BY g")));
-  ASSERT_TRUE(IsOk(primary.Execute("select_range a 20 1e9")));
-  ASSERT_TRUE(IsOk(primary.Execute("metric too_high 12")));
-  ASSERT_TRUE(IsOk(primary.Execute("shards w 4")));
-  for (int i = 0; i < appends; ++i) {
-    ASSERT_TRUE(IsOk(primary.Execute(
-        "append w 9 extra " + std::to_string(50.0 + i))));
-  }
-}
+using namespace repl_fixture;
 
 // --- Protocol ---
 
@@ -309,6 +194,70 @@ TEST(ReplicationTest, FollowerRestartResumesFromItsLocalLog) {
   EXPECT_EQ(JsonInt(status, "snapshot_installs"), 0) << status;
   EXPECT_EQ(RankedPredicates(follower.Execute("debug")),
             RankedPredicates(primary.Execute("debug")));
+}
+
+TEST(ReplicationTest, QuotedFecAppendRecoversAndReplicatesIdentically) {
+  // FEC rows hold spaces (city, memo); `append` takes them double-quoted
+  // with backslash escapes. A bare `null` is NULL, a quoted "null" the
+  // string. The logged line must re-parse to the same row in WAL
+  // recovery and on a follower.
+  auto fec_db = [] {
+    FecOptions gen;
+    gen.num_donations = 400;
+    gen.num_reattributions = 10;
+    auto data = GenerateFecDataset(gen);
+    EXPECT_TRUE(data.ok()) << data.status().ToString();
+    auto db = std::make_shared<Database>();
+    db->RegisterTable(data->table);
+    return db;
+  };
+  const std::string by_memo =
+      "sql SELECT memo, sum(amount) AS total FROM donations WHERE city = "
+      "'SAN LUIS OBISPO' GROUP BY memo";
+  const std::string by_occupation =
+      "@occ sql SELECT occupation, count(*) AS n FROM donations WHERE "
+      "city = 'SAN LUIS OBISPO' GROUP BY occupation";
+  auto rows = [](const std::string& response) {
+    const size_t at = response.find("\"result\": ");
+    EXPECT_NE(at, std::string::npos) << response;
+    return at == std::string::npos ? response : response.substr(at);
+  };
+  const std::string dir = TempDir("fec_append_p");
+  std::string memo_rows, occupation_rows;
+  {
+    Service primary(fec_db(), PrimaryOptions(dir));
+    Service follower(fec_db(), FollowerOptions("", PrimaryPort(primary)));
+    ASSERT_TRUE(IsOk(primary.Execute("shards donations 4")));
+    for (const char* line :
+         {R"(append donations MCCAIN CA "SAN LUIS OBISPO" RETIRED -2300 )"
+          R"(590 "REATTRIBUTION TO SPOUSE")",
+          R"(append donations MCCAIN CA "SAN LUIS OBISPO" "null" 25.5 591 )"
+          R"("SAID \"THANKS\" \\ TWICE")",
+          R"(append donations MCCAIN CA "SAN LUIS OBISPO" null 10 592 "")"}) {
+      const std::string response = primary.Execute(line);
+      ASSERT_TRUE(IsOk(response)) << line << ": " << response;
+    }
+    ASSERT_TRUE(IsOk(primary.Execute(by_memo)));
+    ASSERT_TRUE(IsOk(primary.Execute(by_occupation)));
+    memo_rows = rows(primary.Execute("result"));
+    occupation_rows = rows(primary.Execute("@occ result"));
+    EXPECT_NE(memo_rows.find(R"(["SAID \"THANKS\" \\ TWICE",25.5])"),
+              std::string::npos)
+        << memo_rows;
+    EXPECT_NE(occupation_rows.find(R"(["null",1])"), std::string::npos)
+        << occupation_rows;
+    EXPECT_NE(occupation_rows.find("[null,1]"), std::string::npos)
+        << occupation_rows;
+
+    const uint64_t durable = PrimaryDurableLsn(primary);
+    ASSERT_TRUE(WaitUntil([&] { return FollowerCaughtUp(follower, durable); }))
+        << follower.Execute("replication status");
+    EXPECT_EQ(rows(follower.Execute("result")), memo_rows);
+    EXPECT_EQ(rows(follower.Execute("@occ result")), occupation_rows);
+  }
+  Service recovered(fec_db(), PrimaryOptions(dir));
+  EXPECT_EQ(rows(recovered.Execute("result")), memo_rows);
+  EXPECT_EQ(rows(recovered.Execute("@occ result")), occupation_rows);
 }
 
 // --- Promote + epoch fencing ---
