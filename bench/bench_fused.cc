@@ -1,17 +1,18 @@
 // Fused-conjunction throughput: the one-pass SIMD-dispatched predicate
-// programs (MatchEngine with fusion on) vs the per-clause
-// materialize+word-AND path (DBWIPES_FUSED=off), on a multi-clause
-// workload over the 100k-row acceptance scenario — each candidate is a
-// K ∈ {3, 4} conjunction whose numeric thresholds are unique to the
-// predicate (so the clause cache cannot amortize them) plus one shared
-// categorical clause (so the fused programs still exercise the
-// bitmap-ref lowering).
+// programs (MatchEngine) vs a per-clause materialize+word-AND path
+// built here from the same kernels (CompileClause + MatchClauseWords
+// once per distinct clause, then Bitmap::AndWith per predicate), on a
+// multi-clause workload over the 100k-row acceptance scenario — each
+// candidate is a K ∈ {3, 4} conjunction whose numeric thresholds are
+// unique to the predicate (so a clause cache cannot amortize them)
+// plus one shared categorical clause (so the fused programs still
+// exercise the bitmap-ref lowering).
 //
 // Besides the report table, emits machine-readable BENCH_fused.json
 // with per-tier timings (dispatched SIMD tier and the forced-scalar
 // tier via DBWIPES_SIMD=off), cross-path bitmap identity, and an
-// end-to-end check that full rankings are identical with fusion on,
-// off, and at the scalar tier.
+// end-to-end check that full rankings are identical at both tiers.
+// Exits non-zero when either identity check fails.
 
 #include <benchmark/benchmark.h>
 
@@ -20,8 +21,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_util.h"
@@ -116,18 +119,64 @@ FusedProblem BuildProblem(size_t rows = 100000, size_t num_preds = 600) {
   return p;
 }
 
-enum class Path { kWordAnd, kFused, kFusedScalar };
+/// Exact identity of a clause (doubles by bit pattern, so distinct
+/// thresholds never collide).
+std::string ClauseKey(const Clause& c) {
+  std::string key =
+      c.attribute + '\x1f' + std::to_string(static_cast<int>(c.op));
+  if (c.literal.is_double()) {
+    const double d = c.literal.dbl();
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return key + "\x1f" "d" + std::to_string(bits);
+  }
+  return key + '\x1f' + c.literal.ToString();
+}
+
+/// Cold materialize+word-AND matching: each distinct clause scanned
+/// once into its own bitmap (clauses in parallel on the pool), then one
+/// copy + AndWith chain per predicate.
+std::vector<Bitmap> MatchWordAnd(const FusedProblem& p,
+                                 size_t* clause_bitmaps = nullptr) {
+  std::unordered_map<std::string, size_t> slot;
+  std::vector<const Clause*> distinct;
+  for (const EnumeratedPredicate& ep : p.predicates) {
+    for (const Clause& c : ep.predicate.clauses()) {
+      if (slot.emplace(ClauseKey(c), distinct.size()).second) {
+        distinct.push_back(&c);
+      }
+    }
+  }
+  std::vector<Bitmap> bits(distinct.size());
+  ParallelForEach(0, distinct.size(), [&](size_t i) {
+    const CompiledClause cc = *CompileClause(*distinct[i], *p.data.table);
+    bits[i] = Bitmap(p.suspects.size());
+    MatchClauseWords(cc, p.suspects, 0, bits[i].num_words(), &bits[i]);
+  });
+  std::vector<Bitmap> out;
+  out.reserve(p.predicates.size());
+  for (const EnumeratedPredicate& ep : p.predicates) {
+    const auto& clauses = ep.predicate.clauses();
+    Bitmap bm = bits[slot.at(ClauseKey(clauses[0]))];
+    for (size_t j = 1; j < clauses.size(); ++j) {
+      bm.AndWith(bits[slot.at(ClauseKey(clauses[j]))]);
+    }
+    out.push_back(std::move(bm));
+  }
+  if (clause_bitmaps != nullptr) *clause_bitmaps = distinct.size();
+  return out;
+}
+
+enum class Path { kFused, kFusedScalar };
 
 /// Cold end-to-end matching: fresh engine, Materialize, then one
-/// bitmap per predicate — the work one Explain pass performs. Fusion
-/// and the SIMD tier are selected via the environment, read once at
-/// engine construction.
+/// bitmap per predicate — the work one Explain pass performs. The SIMD
+/// tier is selected via the environment, read once at engine
+/// construction.
 std::vector<Bitmap> MatchAll(const FusedProblem& p, Path path,
                              MatchEngine* engine_out = nullptr) {
-  if (path == Path::kWordAnd) setenv("DBWIPES_FUSED", "off", 1);
   if (path == Path::kFusedScalar) setenv("DBWIPES_SIMD", "off", 1);
   MatchEngine engine(*p.data.table, p.suspects);
-  unsetenv("DBWIPES_FUSED");
   unsetenv("DBWIPES_SIMD");
   std::vector<const Predicate*> preds;
   preds.reserve(p.predicates.size());
@@ -145,17 +194,11 @@ std::vector<Bitmap> MatchAll(const FusedProblem& p, Path path,
 }
 
 std::vector<RankedPredicate> RunRanker(const FusedProblem& p, Path path) {
-  if (path == Path::kWordAnd) setenv("DBWIPES_FUSED", "off", 1);
   if (path == Path::kFusedScalar) setenv("DBWIPES_SIMD", "off", 1);
-  RankerOptions opts;
-  opts.engine = RankerOptions::Engine::kDeltaParallel;
-  opts.use_match_kernels = true;
-  PredicateRanker ranker(opts);
-  auto ranked =
-      ranker.Rank(*p.data.table, p.result, p.selected_groups, *p.metric,
-                  /*agg_index=*/0, p.suspects, p.reference,
-                  p.per_group_baseline, p.predicates);
-  unsetenv("DBWIPES_FUSED");
+  auto ranked = PredicateRanker().Rank(
+      *p.data.table, p.result, p.selected_groups, *p.metric,
+      /*agg_index=*/0, p.suspects, p.reference, p.per_group_baseline,
+      p.predicates);
   unsetenv("DBWIPES_SIMD");
   DBW_CHECK_OK(ranked.status());
   return *std::move(ranked);
@@ -184,7 +227,9 @@ bool SameOrder(const std::vector<RankedPredicate>& a,
   return true;
 }
 
-void PrintReportAndJson() {
+/// Prints the report and writes BENCH_fused.json; false when an
+/// identity check failed.
+bool PrintReportAndJson() {
   std::printf(
       "=== fused conjunctions: one-pass programs vs materialize+word-AND "
       "===\n\n");
@@ -194,9 +239,9 @@ void PrintReportAndJson() {
               p.predicates.size());
 
   const int reps = 5;
-  MatchEngine word_probe(*p.data.table, {});
-  const std::vector<Bitmap> word_and = MatchAll(p, Path::kWordAnd, &word_probe);
-  const double word_ms = MedianMs([&] { MatchAll(p, Path::kWordAnd); }, reps);
+  size_t word_bitmaps = 0;
+  const std::vector<Bitmap> word_and = MatchWordAnd(p, &word_bitmaps);
+  const double word_ms = MedianMs([&] { MatchWordAnd(p); }, reps);
 
   MatchEngine fused_probe(*p.data.table, {});
   const std::vector<Bitmap> fused = MatchAll(p, Path::kFused, &fused_probe);
@@ -212,11 +257,12 @@ void PrintReportAndJson() {
     bitmaps_equal = word_and[i] == fused[i] && word_and[i] == scalar[i];
   }
 
-  const auto ranked_word = RunRanker(p, Path::kWordAnd);
+  // The word-AND bitmaps equal both fused tiers' (checked above), so
+  // a ranking over them would score identical inputs; the rankings
+  // compared here are the two fused tiers'.
   const auto ranked_fused = RunRanker(p, Path::kFused);
   const auto ranked_scalar = RunRanker(p, Path::kFusedScalar);
-  const bool orders_match = SameOrder(ranked_word, ranked_fused) &&
-                            SameOrder(ranked_word, ranked_scalar);
+  const bool orders_match = SameOrder(ranked_fused, ranked_scalar);
 
   const double preds = static_cast<double>(p.predicates.size());
   TablePrinter table({"path", "median_ms", "preds_per_sec", "speedup"});
@@ -229,15 +275,16 @@ void PrintReportAndJson() {
                 Fmt(preds / scalar_ms * 1000.0, 0),
                 Fmt(word_ms / scalar_ms, 1)});
   table.Print();
+  const MatchCounters fc = fused_probe.counters();
   std::printf(
       "\nword-AND path: %zu clause bitmaps; fused path: %zu bitmaps + %zu "
       "programs (%zu compiles, %zu fallbacks, %.1f ms compile)\n",
-      word_probe.num_cached_clauses(), fused_probe.num_cached_clauses(),
-      fused_probe.num_fused_programs(), fused_probe.fused_compiles(),
-      fused_probe.fused_fallbacks(), fused_probe.fused_compile_ms());
+      word_bitmaps, fused_probe.num_cached_clauses(),
+      fused_probe.num_fused_programs(), fc.fused_compiles,
+      fc.fused_fallbacks, fc.fused_compile_ms);
   std::printf("bitmaps identical across paths: %s\n",
               bitmaps_equal ? "yes" : "NO — BUG");
-  std::printf("identical rank orderings (word-AND / fused / scalar): %s\n\n",
+  std::printf("identical rank orderings (fused / scalar): %s\n\n",
               orders_match ? "yes" : "NO — BUG");
 
   FILE* f = std::fopen("BENCH_fused.json", "w");
@@ -263,17 +310,18 @@ void PrintReportAndJson() {
         "  \"orderings_identical\": %s\n"
         "}\n",
         p.data.table->num_rows(), p.predicates.size(), p.suspects.size(),
-        word_ms, preds / word_ms * 1000.0, word_probe.num_cached_clauses(),
+        word_ms, preds / word_ms * 1000.0, word_bitmaps,
         SimdTierName(fused_probe.simd_tier()), fused_ms,
         preds / fused_ms * 1000.0, fused_probe.num_cached_clauses(),
-        fused_probe.num_fused_programs(), fused_probe.fused_compiles(),
-        fused_probe.fused_fallbacks(), fused_probe.fused_compile_ms(),
+        fused_probe.num_fused_programs(), fc.fused_compiles,
+        fc.fused_fallbacks, fc.fused_compile_ms,
         scalar_ms, preds / scalar_ms * 1000.0, word_ms / fused_ms,
         word_ms / scalar_ms, bitmaps_equal ? "true" : "false",
         orders_match ? "true" : "false");
     std::fclose(f);
     std::printf("wrote BENCH_fused.json\n\n");
   }
+  return bitmaps_equal && orders_match;
 }
 
 const FusedProblem& SmallProblem() {
@@ -284,7 +332,7 @@ const FusedProblem& SmallProblem() {
 void BM_MatchWordAnd(benchmark::State& state) {
   const FusedProblem& p = SmallProblem();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MatchAll(p, Path::kWordAnd));
+    benchmark::DoNotOptimize(MatchWordAnd(p));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(p.predicates.size()));
@@ -309,7 +357,7 @@ BENCHMARK(BM_MatchFused)
 }  // namespace dbwipes
 
 int main(int argc, char** argv) {
-  dbwipes::PrintReportAndJson();
+  if (!dbwipes::PrintReportAndJson()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -6,7 +6,9 @@
 // Besides the report table, emits machine-readable BENCH_match.json
 // (in the working directory) with the before/after timings, the cache
 // utilization, and an end-to-end check that the full ranking produces
-// identical orderings with the kernels on and off.
+// the same ordering as the serial reference ranker (the test oracle,
+// tests/reference_ranker.h). Exits non-zero when an identity check
+// fails.
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +27,7 @@
 #include "dbwipes/datagen/synthetic.h"
 #include "dbwipes/expr/match_kernels.h"
 #include "dbwipes/expr/parser.h"
+#include "reference_ranker.h"
 
 namespace dbwipes {
 namespace {
@@ -118,7 +121,7 @@ MatchProblem BuildProblem(size_t rows = 100000) {
 
 /// Before: the boxed path, one Bind + one row-at-a-time bitmap scan
 /// per predicate (what every caller did prior to the match engine).
-std::vector<Bitmap> MatchBoxed(const MatchProblem& p) {
+std::vector<Bitmap> MatchBindScan(const MatchProblem& p) {
   std::vector<Bitmap> out;
   out.reserve(p.predicates.size());
   for (const EnumeratedPredicate& ep : p.predicates) {
@@ -150,18 +153,22 @@ std::vector<Bitmap> MatchKernels(const MatchProblem& p, size_t threads,
   return out;
 }
 
-std::vector<RankedPredicate> RunRanker(const MatchProblem& p,
-                                       bool use_kernels) {
-  RankerOptions opts;
-  opts.engine = RankerOptions::Engine::kDeltaParallel;
-  opts.use_match_kernels = use_kernels;
-  PredicateRanker ranker(opts);
-  auto ranked =
-      ranker.Rank(*p.data.table, p.result, p.selected_groups, *p.metric,
-                  /*agg_index=*/0, p.suspects, p.reference,
-                  p.per_group_baseline, p.predicates);
+std::vector<RankedPredicate> RunRanker(const MatchProblem& p) {
+  auto ranked = PredicateRanker().Rank(
+      *p.data.table, p.result, p.selected_groups, *p.metric,
+      /*agg_index=*/0, p.suspects, p.reference, p.per_group_baseline,
+      p.predicates);
   DBW_CHECK_OK(ranked.status());
   return *std::move(ranked);
+}
+
+std::vector<RankedPredicate> RunOracle(const MatchProblem& p) {
+  auto outcome = ReferenceRank(
+      RankerOptions(), *p.data.table, p.result, p.selected_groups, *p.metric,
+      /*agg_index=*/0, p.suspects, p.reference, p.per_group_baseline,
+      p.predicates);
+  DBW_CHECK_OK(outcome.status());
+  return std::move(outcome->predicates);
 }
 
 double MedianMs(const std::function<void()>& fn, int reps) {
@@ -216,7 +223,9 @@ bool SameOrder(const std::vector<RankedPredicate>& a,
   return true;
 }
 
-void PrintReportAndJson() {
+/// Prints the report and writes BENCH_match.json; false when an
+/// identity check failed.
+bool PrintReportAndJson() {
   std::printf("=== matching phase: batch kernels + clause cache vs boxed ===\n\n");
   MatchProblem p = BuildProblem();
   std::printf("rows=%zu  |F|=%zu  predicates=%zu  threads=%zu\n\n",
@@ -224,8 +233,8 @@ void PrintReportAndJson() {
               p.predicates.size(), DefaultParallelism());
 
   const int reps = 5;
-  const std::vector<Bitmap> boxed = MatchBoxed(p);
-  const double before_ms = MedianMs([&] { MatchBoxed(p); }, reps);
+  const std::vector<Bitmap> boxed = MatchBindScan(p);
+  const double before_ms = MedianMs([&] { MatchBindScan(p); }, reps);
 
   MatchEngine probe(*p.data.table, {});
   const std::vector<Bitmap> kernel1 = MatchKernels(p, 1, &probe);
@@ -239,9 +248,7 @@ void PrintReportAndJson() {
     bitmaps_equal = boxed[i] == kernel1[i] && boxed[i] == kernelN[i];
   }
 
-  const auto ranked_boxed = RunRanker(p, /*use_kernels=*/false);
-  const auto ranked_kernel = RunRanker(p, /*use_kernels=*/true);
-  const bool orders_match = SameOrder(ranked_boxed, ranked_kernel);
+  const bool orders_match = SameOrder(RunOracle(p), RunRanker(p));
 
   const double preds = static_cast<double>(p.predicates.size());
   TablePrinter table({"path", "median_ms", "preds_per_sec", "speedup"});
@@ -255,11 +262,11 @@ void PrintReportAndJson() {
                 Fmt(before_ms / kernelN_ms, 1)});
   table.Print();
   std::printf("\ndistinct clauses cached: %zu  (cache hits %zu, misses %zu)\n",
-              probe.num_cached_clauses(), probe.cache_hits(),
-              probe.cache_misses());
-  std::printf("bitmaps identical to boxed path: %s\n",
+              probe.num_cached_clauses(), probe.counters().cache_hits,
+              probe.counters().cache_misses);
+  std::printf("bitmaps identical to the per-row BoundPredicate path: %s\n",
               bitmaps_equal ? "yes" : "NO — BUG");
-  std::printf("identical rank orderings (kernels on/off): %s\n\n",
+  std::printf("identical rank orderings (ranker / reference): %s\n\n",
               orders_match ? "yes" : "NO — BUG");
 
   FILE* f = std::fopen("BENCH_match.json", "w");
@@ -286,11 +293,13 @@ void PrintReportAndJson() {
         DefaultParallelism(), before_ms, preds / before_ms * 1000.0,
         kernel1_ms, preds / kernel1_ms * 1000.0, kernelN_ms,
         preds / kernelN_ms * 1000.0, probe.num_cached_clauses(),
-        probe.cache_hits(), before_ms / kernel1_ms, before_ms / kernelN_ms,
+        probe.counters().cache_hits, before_ms / kernel1_ms,
+        before_ms / kernelN_ms,
         bitmaps_equal ? "true" : "false", orders_match ? "true" : "false");
     std::fclose(f);
     std::printf("wrote BENCH_match.json\n\n");
   }
+  return bitmaps_equal && orders_match;
 }
 
 const MatchProblem& SmallProblem() {
@@ -298,15 +307,15 @@ const MatchProblem& SmallProblem() {
   return *p;
 }
 
-void BM_MatchBoxed(benchmark::State& state) {
+void BM_MatchBindScan(benchmark::State& state) {
   const MatchProblem& p = SmallProblem();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MatchBoxed(p));
+    benchmark::DoNotOptimize(MatchBindScan(p));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(p.predicates.size()));
 }
-BENCHMARK(BM_MatchBoxed)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MatchBindScan)->Unit(benchmark::kMillisecond);
 
 void BM_MatchKernels(benchmark::State& state) {
   const MatchProblem& p = SmallProblem();
@@ -326,7 +335,7 @@ BENCHMARK(BM_MatchKernels)
 }  // namespace dbwipes
 
 int main(int argc, char** argv) {
-  dbwipes::PrintReportAndJson();
+  if (!dbwipes::PrintReportAndJson()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

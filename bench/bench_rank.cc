@@ -3,9 +3,11 @@
 // reference, on the acceptance scenario (100k rows, 8 explainable
 // attributes, several hundred candidate predicates).
 //
-// Besides the report table, emits machine-readable BENCH_rank.json
-// (in the working directory) with the before/after timings so CI can
-// track the speedup.
+// The "before" row is the from-scratch serial reference ranker, the
+// test oracle (tests/reference_ranker.h). Besides the report table,
+// emits machine-readable BENCH_rank.json (in the working directory)
+// with the before/after timings so CI can track the speedup. Exits
+// non-zero when the orderings differ.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +24,7 @@
 #include "dbwipes/core/preprocessor.h"
 #include "dbwipes/datagen/synthetic.h"
 #include "dbwipes/expr/parser.h"
+#include "reference_ranker.h"
 
 namespace dbwipes {
 namespace {
@@ -114,11 +117,8 @@ RankProblem BuildProblem(size_t rows = 100000) {
   return p;
 }
 
-std::vector<RankedPredicate> RunEngine(const RankProblem& p,
-                                       RankerOptions::Engine engine,
-                                       size_t threads) {
+std::vector<RankedPredicate> RunDelta(const RankProblem& p, size_t threads) {
   RankerOptions opts;
-  opts.engine = engine;
   opts.num_threads = threads;
   PredicateRanker ranker(opts);
   auto ranked =
@@ -127,6 +127,15 @@ std::vector<RankedPredicate> RunEngine(const RankProblem& p,
                   p.per_group_baseline, p.predicates);
   DBW_CHECK_OK(ranked.status());
   return *std::move(ranked);
+}
+
+std::vector<RankedPredicate> RunReference(const RankProblem& p) {
+  auto outcome = ReferenceRank(
+      RankerOptions(), *p.data.table, p.result, p.selected_groups, *p.metric,
+      /*agg_index=*/0, p.suspects, p.reference, p.per_group_baseline,
+      p.predicates);
+  DBW_CHECK_OK(outcome.status());
+  return std::move(outcome->predicates);
 }
 
 double MedianMs(const std::function<void()>& fn, int reps) {
@@ -152,7 +161,9 @@ bool SameOrder(const std::vector<RankedPredicate>& a,
   return true;
 }
 
-void PrintReportAndJson() {
+/// Prints the report and writes BENCH_rank.json; false when the
+/// orderings differ.
+bool PrintReportAndJson() {
   std::printf("=== ranking engine: delta+parallel vs serial reference ===\n\n");
   RankProblem p = BuildProblem();
   std::printf("rows=%zu  |F|=%zu  selected_groups=%zu  predicates=%zu  "
@@ -162,17 +173,12 @@ void PrintReportAndJson() {
               DefaultParallelism());
 
   const int reps = 5;
-  const auto reference =
-      RunEngine(p, RankerOptions::Engine::kReferenceSerial, 1);
-  const double before_ms = MedianMs(
-      [&] { RunEngine(p, RankerOptions::Engine::kReferenceSerial, 1); },
-      reps);
-  const auto delta1 = RunEngine(p, RankerOptions::Engine::kDeltaParallel, 1);
-  const double delta1_ms = MedianMs(
-      [&] { RunEngine(p, RankerOptions::Engine::kDeltaParallel, 1); }, reps);
-  const auto deltaN = RunEngine(p, RankerOptions::Engine::kDeltaParallel, 0);
-  const double deltaN_ms = MedianMs(
-      [&] { RunEngine(p, RankerOptions::Engine::kDeltaParallel, 0); }, reps);
+  const auto reference = RunReference(p);
+  const double before_ms = MedianMs([&] { RunReference(p); }, reps);
+  const auto delta1 = RunDelta(p, 1);
+  const double delta1_ms = MedianMs([&] { RunDelta(p, 1); }, reps);
+  const auto deltaN = RunDelta(p, 0);
+  const double deltaN_ms = MedianMs([&] { RunDelta(p, 0); }, reps);
 
   const bool orders_match =
       SameOrder(reference, delta1) && SameOrder(reference, deltaN);
@@ -216,6 +222,7 @@ void PrintReportAndJson() {
     std::fclose(f);
     std::printf("wrote BENCH_rank.json\n\n");
   }
+  return orders_match;
 }
 
 const RankProblem& SmallProblem() {
@@ -223,23 +230,21 @@ const RankProblem& SmallProblem() {
   return *p;
 }
 
-void BM_RankReferenceSerial(benchmark::State& state) {
+void BM_ReferenceRank(benchmark::State& state) {
   const RankProblem& p = SmallProblem();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        RunEngine(p, RankerOptions::Engine::kReferenceSerial, 1));
+    benchmark::DoNotOptimize(RunReference(p));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(p.predicates.size()));
 }
-BENCHMARK(BM_RankReferenceSerial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReferenceRank)->Unit(benchmark::kMillisecond);
 
 void BM_RankDelta(benchmark::State& state) {
   const RankProblem& p = SmallProblem();
   const size_t threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        RunEngine(p, RankerOptions::Engine::kDeltaParallel, threads));
+    benchmark::DoNotOptimize(RunDelta(p, threads));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(p.predicates.size()));
@@ -253,7 +258,7 @@ BENCHMARK(BM_RankDelta)
 }  // namespace dbwipes
 
 int main(int argc, char** argv) {
-  dbwipes::PrintReportAndJson();
+  if (!dbwipes::PrintReportAndJson()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -63,8 +63,8 @@ int main() {
   std::printf("\n%s", dashboard.RenderRankedPredicates().c_str());
   std::printf("stage timings: preprocess %.1fms, enumerate %.1fms, "
               "trees %.1fms, rank %.1fms\n",
-              exp.preprocess_ms, exp.enumerate_ms, exp.predicates_ms,
-              exp.rank_ms);
+              exp.profile.preprocess_ms, exp.profile.enumerate_ms,
+              exp.profile.predicates_ms, exp.profile.rank_ms);
 
   // Clean and confirm the windows return to normal.
   DBW_CHECK_OK(session.ApplyPredicate(0));

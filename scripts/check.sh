@@ -15,6 +15,9 @@
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
 #   scripts/check.sh fused      # bench_fused (BENCH_fused.json) +
 #                               # forced-scalar fused tests under asan
+#   scripts/check.sh micro      # bench_rank/bench_match/bench_fused,
+#                               # failing on any identity mismatch, +
+#                               # forced-scalar equivalence_test (asan)
 #   scripts/check.sh crash      # kill-point crash-recovery matrix under
 #                               # asan AND tsan (DBWIPES_CRASH_RUNS=200+)
 #   scripts/check.sh wal        # bench_wal (BENCH_wal.json)
@@ -96,6 +99,27 @@ fused_bench() {
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$jobs" --target fused_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/fused_kernels_test
+}
+
+micro() {
+  echo "=== micro: ranking/matching microbenches + scalar-tier equivalence ==="
+  # Each bench exits non-zero when its identity check fails: bitmaps or
+  # rank orderings that differ from the reference path (the serial
+  # reference ranker, per-row BoundPredicate matching, the word-AND
+  # path). Only the report runs; it writes the BENCH_*.json files.
+  cmake --preset default >/dev/null
+  cmake --build --preset default -j "$jobs" --target bench_rank bench_match \
+      bench_fused
+  (cd build/bench && ./bench_rank --benchmark_filter='^$' &&
+      ./bench_match --benchmark_filter='^$' &&
+      ./bench_fused --benchmark_filter='^$')
+  echo "wrote build/bench/BENCH_rank.json BENCH_match.json BENCH_fused.json"
+  # The ranking and matching equivalence suite with the SIMD dispatcher
+  # pinned to the portable tier, under asan.
+  cmake --preset asan >/dev/null
+  cmake --build --preset asan -j "$jobs" --target equivalence_test
+  DBWIPES_SIMD=off ASAN_OPTIONS=halt_on_error=1 \
+      ./build-asan/tests/equivalence_test
 }
 
 crash() {
@@ -181,12 +205,13 @@ case "${1:-all}" in
   trace)  trace_bench ;;
   shard)  shard_bench ;;
   fused)  fused_bench ;;
+  micro)  micro ;;
   crash)  crash ;;
   wal)    wal_bench ;;
   obs)    obs ;;
   repl)   repl ;;
   e2e)    e2e ;;
-  all)    tier1; asan_smoke; faults; tsan_smoke; stress; trace_bench; shard_bench; fused_bench; crash; wal_bench; obs; repl; e2e ;;
-  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|trace|shard|fused|crash|wal|obs|repl|e2e|all]" >&2; exit 2 ;;
+  all)    tier1; asan_smoke; faults; tsan_smoke; stress; trace_bench; shard_bench; fused_bench; micro; crash; wal_bench; obs; repl; e2e ;;
+  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|trace|shard|fused|micro|crash|wal|obs|repl|e2e|all]" >&2; exit 2 ;;
 esac
 echo "=== check.sh: all requested stages passed ==="

@@ -109,14 +109,10 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   };
 
   // Final bookkeeping, run on every exit (complete or degraded): the
-  // profile mirrors the stage clocks, adds the pool's share of the run
-  // and the anytime events, and the run-level metrics are flushed.
+  // profile gets the total clock, the pool's share of the run and the
+  // anytime events, and the run-level metrics are flushed.
   auto finish = [&]() {
     ExplainProfile& p = out.profile;
-    p.preprocess_ms = out.preprocess_ms;
-    p.enumerate_ms = out.enumerate_ms;
-    p.predicates_ms = out.predicates_ms;
-    p.rank_ms = out.rank_ms;
     p.total_ms = MillisSince(t_start);
     p.table_rows = table->num_rows();
     p.suspect_rows = out.preprocess.suspect_inputs.size();
@@ -173,7 +169,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   // Stage 1: Preprocessor.
   Status cont = ctx.CheckContinue();
   if (!cont.ok()) {
-    interrupted(&out.preprocess_ms, cont);
+    interrupted(&out.profile.preprocess_ms, cont);
     return out;
   }
   {
@@ -184,7 +180,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
                           *request.metric, request.agg_index,
                           options_.per_group_influence));
   }
-  out.preprocess_ms = MillisSince(t0);
+  out.profile.preprocess_ms = MillisSince(t0);
 
   // The suspect universe is fixed from here on: partition it by the
   // shard boundaries once, for every downstream stage.
@@ -206,7 +202,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
                                out.preprocess.influences, view, ctx);
     if (!cleaned.ok()) {
       if (cleaned.status().IsInterrupt()) {
-        interrupted(&out.enumerate_ms, cleaned.status());
+        interrupted(&out.profile.enumerate_ms, cleaned.status());
         return out;
       }
       return cleaned.status();
@@ -218,14 +214,14 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
                              *request.metric, request.agg_index, ctx);
     if (!candidates.ok()) {
       if (candidates.status().IsInterrupt()) {
-        interrupted(&out.enumerate_ms, candidates.status());
+        interrupted(&out.profile.enumerate_ms, candidates.status());
         return out;
       }
       return candidates.status();
     }
     out.candidates = *std::move(candidates);
   }
-  out.enumerate_ms = MillisSince(t0);
+  out.profile.enumerate_ms = MillisSince(t0);
 
   // Stage 3: Predicate Enumerator.
   t0 = std::chrono::steady_clock::now();
@@ -237,14 +233,14 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
         view, out.preprocess.suspect_inputs, out.candidates, ctx, plan);
     if (!r.ok()) {
       if (r.status().IsInterrupt()) {
-        interrupted(&out.predicates_ms, r.status());
+        interrupted(&out.profile.predicates_ms, r.status());
         return out;
       }
       return r.status();
     }
     enumerated = *std::move(r);
   }
-  out.predicates_ms = MillisSince(t0);
+  out.profile.predicates_ms = MillisSince(t0);
   out.total_enumerated = enumerated.size();
 
   // Stage 4: Predicate Ranker. When the user supplied no examples,
@@ -293,46 +289,17 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     p.scoring_blocks_total = rs.blocks_total;
     p.scoring_blocks_done = rs.blocks_done;
     p.block_ms = rs.block_ms;
-    p.used_match_kernels = rs.used_kernels;
-    p.clause_lookups = rs.clause_lookups;
-    p.cache_hits = rs.cache_hits;
-    p.cache_misses = rs.cache_misses;
-    p.bitmaps_materialized = rs.bitmaps_materialized;
-    p.boxed_fallbacks = rs.boxed_fallbacks;
-    p.fused_lookups = rs.fused_lookups;
-    p.fused_hits = rs.fused_hits;
-    p.fused_compiles = rs.fused_compiles;
-    p.fused_fallbacks = rs.fused_fallbacks;
-    p.fused_evals = rs.fused_evals;
+    p.match = rs.match;
     p.fused_programs = rs.fused_programs;
-    p.fused_compile_ms = rs.fused_compile_ms;
     p.simd_tier = rs.simd_tier;
     if (shard_set != nullptr) {
       p.num_shards = shard_set->num_shards();
-      p.shards.reserve(rs.shard_stats.size());
-      for (const ShardRankStats& ss : rs.shard_stats) {
-        ExplainProfile::ShardLane lane;
-        lane.shard_index = ss.shard_index;
-        lane.rows = ss.rows;
-        lane.suspects = ss.suspects;
-        lane.engine_reused = ss.engine_reused;
-        lane.materialize_ms = ss.materialize_ms;
-        lane.clause_lookups = ss.clause_lookups;
-        lane.cache_hits = ss.cache_hits;
-        lane.cache_misses = ss.cache_misses;
-        lane.bitmaps_materialized = ss.bitmaps_materialized;
-        lane.cached_clauses = ss.cached_clauses;
-        lane.fused_lookups = ss.fused_lookups;
-        lane.fused_hits = ss.fused_hits;
-        lane.fused_compiles = ss.fused_compiles;
-        lane.fused_fallbacks = ss.fused_fallbacks;
-        lane.fused_evals = ss.fused_evals;
-        lane.cached_programs = ss.cached_programs;
-        if (ss.engine_reused) ++p.shard_engines_reused;
-        p.shards.push_back(lane);
+      p.shards = rs.shard_stats;
+      for (const ExplainProfile::ShardLane& lane : p.shards) {
+        if (lane.engine_reused) ++p.shard_engines_reused;
       }
-      // Skew from the plan (valid even when ranking degraded to the
-      // boxed path): max shard suspect share over the even share.
+      // Skew from the plan (valid even when ranking degraded to
+      // BoundPredicate matching): max shard suspect share over the even share.
       const size_t total = out.preprocess.suspect_inputs.size();
       if (total > 0 && !shard_plan.slices.empty()) {
         size_t biggest = 0;
@@ -368,7 +335,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
                        out.predicates, options_.ranker, options_.merger,
                        plan));
   }
-  out.rank_ms = MillisSince(t0);
+  out.profile.rank_ms = MillisSince(t0);
   finish();
   return out;
 }

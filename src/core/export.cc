@@ -158,34 +158,30 @@ void WriteProfile(JsonWriter* w, const ExplainProfile& p) {
 
   w->Key("match_engine");
   w->BeginObject();
-  w->Key("used_kernels");
-  w->Bool(p.used_match_kernels);
   w->Key("clause_lookups");
-  w->Number(p.clause_lookups);
+  w->Number(p.match.clause_lookups());
   w->Key("cache_hits");
-  w->Number(p.cache_hits);
+  w->Number(p.match.cache_hits);
   w->Key("cache_misses");
-  w->Number(p.cache_misses);
+  w->Number(p.match.cache_misses);
   w->Key("bitmaps_materialized");
-  w->Number(p.bitmaps_materialized);
-  w->Key("boxed_fallbacks");
-  w->Number(p.boxed_fallbacks);
+  w->Number(p.match.bitmaps_materialized);
   w->Key("fused");
   w->BeginObject();
   w->Key("lookups");
-  w->Number(p.fused_lookups);
+  w->Number(p.match.fused_lookups);
   w->Key("hits");
-  w->Number(p.fused_hits);
+  w->Number(p.match.fused_hits);
   w->Key("compiles");
-  w->Number(p.fused_compiles);
+  w->Number(p.match.fused_compiles);
   w->Key("fallbacks");
-  w->Number(p.fused_fallbacks);
+  w->Number(p.match.fused_fallbacks);
   w->Key("evals");
-  w->Number(p.fused_evals);
+  w->Number(p.match.fused_evals);
   w->Key("programs");
   w->Number(p.fused_programs);
   w->Key("compile_ms");
-  w->Number(p.fused_compile_ms);
+  w->Number(p.match.fused_compile_ms);
   w->Key("simd_tier");
   w->String(p.simd_tier);
   w->EndObject();
@@ -215,25 +211,25 @@ void WriteProfile(JsonWriter* w, const ExplainProfile& p) {
       w->Key("materialize_ms");
       w->Number(lane.materialize_ms);
       w->Key("clause_lookups");
-      w->Number(lane.clause_lookups);
+      w->Number(lane.match.clause_lookups());
       w->Key("cache_hits");
-      w->Number(lane.cache_hits);
+      w->Number(lane.match.cache_hits);
       w->Key("cache_misses");
-      w->Number(lane.cache_misses);
+      w->Number(lane.match.cache_misses);
       w->Key("bitmaps_materialized");
-      w->Number(lane.bitmaps_materialized);
+      w->Number(lane.match.bitmaps_materialized);
       w->Key("cached_clauses");
       w->Number(lane.cached_clauses);
       w->Key("fused_lookups");
-      w->Number(lane.fused_lookups);
+      w->Number(lane.match.fused_lookups);
       w->Key("fused_hits");
-      w->Number(lane.fused_hits);
+      w->Number(lane.match.fused_hits);
       w->Key("fused_compiles");
-      w->Number(lane.fused_compiles);
+      w->Number(lane.match.fused_compiles);
       w->Key("fused_fallbacks");
-      w->Number(lane.fused_fallbacks);
+      w->Number(lane.match.fused_fallbacks);
       w->Key("fused_evals");
-      w->Number(lane.fused_evals);
+      w->Number(lane.match.fused_evals);
       w->Key("cached_programs");
       w->Number(lane.cached_programs);
       w->EndObject();
@@ -361,22 +357,25 @@ std::string ExplanationToJson(const Explanation& explanation, bool pretty) {
   w.Key("total_enumerated");
   w.Number(explanation.total_enumerated);
 
+  // The stage clocks; "total" is their sum (the profile's total_ms is
+  // the wall clock, which also covers the work between stages).
+  const ExplainProfile& p = explanation.profile;
   w.Key("timings_ms");
   w.BeginObject();
   w.Key("preprocess");
-  w.Number(explanation.preprocess_ms);
+  w.Number(p.preprocess_ms);
   w.Key("enumerate");
-  w.Number(explanation.enumerate_ms);
+  w.Number(p.enumerate_ms);
   w.Key("predicates");
-  w.Number(explanation.predicates_ms);
+  w.Number(p.predicates_ms);
   w.Key("rank");
-  w.Number(explanation.rank_ms);
+  w.Number(p.rank_ms);
   w.Key("total");
-  w.Number(explanation.total_ms());
+  w.Number(p.preprocess_ms + p.enumerate_ms + p.predicates_ms + p.rank_ms);
   w.EndObject();
 
   w.Key("profile");
-  WriteProfile(&w, explanation.profile);
+  WriteProfile(&w, p);
 
   w.Key("candidates");
   w.BeginArray();

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <unordered_map>
+#include <memory>
 
 #include "dbwipes/common/metrics.h"
 #include "dbwipes/common/parallel.h"
@@ -42,8 +41,8 @@ const RankerMetrics& Metrics() {
   return m;
 }
 
-/// Shared scoring arithmetic: fills the score-derived fields of `rp`
-/// from the raw measurements.
+/// Scoring arithmetic: fills the score-derived fields of `rp` from the
+/// raw measurements.
 void FinishScore(const RankerOptions& options, bool have_reference,
                  double w_error, double w_acc, double per_group_baseline,
                  double per_group_after, size_t tp, size_t reference_size,
@@ -72,9 +71,7 @@ void FinishScore(const RankerOptions& options, bool have_reference,
               options.w_complexity * complexity;
 }
 
-/// FNV-1a fold of per-shard bitmap part hashes: with a fixed shard
-/// plan every predicate's parts have identical shapes, so part-vector
-/// equality is global-bitmap equality.
+/// FNV-1a fold of per-slice bitmap part hashes.
 uint64_t HashParts(const std::vector<Bitmap>& parts) {
   uint64_t h = 1469598103934665603ULL;
   for (const Bitmap& b : parts) {
@@ -138,26 +135,6 @@ Result<RankOutcome> PredicateRanker::RankAnytime(
   DBW_FAULT(ctx, "ranker/rank");
   DBW_TRACE_SPAN("ranker/rank");
   Metrics().runs->Increment();
-  if (options_.engine == RankerOptions::Engine::kReferenceSerial) {
-    // The reference engine always scores the fused view; it exists to
-    // differential-test the fast paths (sharded included) against one
-    // canonical serial fold.
-    return RankReference(table, result, selected_groups, metric, agg_index,
-                         suspects, reference_positive, per_group_baseline,
-                         predicates, ctx);
-  }
-  return RankDelta(table, result, selected_groups, metric, agg_index,
-                   suspects, reference_positive, per_group_baseline,
-                   predicates, ctx, shards);
-}
-
-Result<RankOutcome> PredicateRanker::RankDelta(
-    const Table& table, const QueryResult& result,
-    const std::vector<size_t>& selected_groups, const ErrorMetric& metric,
-    size_t agg_index, const std::vector<RowId>& suspects,
-    const std::vector<RowId>& reference_positive, double per_group_baseline,
-    const std::vector<EnumeratedPredicate>& predicates,
-    const ExecContext& ctx, const ShardPlan* shards) const {
   const size_t n = predicates.size();
   const bool have_reference = !reference_positive.empty();
   double w_error = options_.w_error;
@@ -183,113 +160,105 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   }
   const RemovalScorer& scorer = scorer_r.ValueUnsafe();
 
-  // The reference set as a positional bitmap over F: tp of a predicate
-  // is then a popcount of the AND.
-  Bitmap reference_bitmap(suspects.size());
-  if (have_reference) {
-    for (size_t i = 0; i < suspects.size(); ++i) {
+  // An unsharded rank is a one-slice plan over the whole suspect
+  // universe: ErrorsAfterParts with one part at offset 0 visits the
+  // same operands in the same order as a fused bitmap would, so there
+  // is one scoring loop for every shard count. Only real shard sets
+  // get cached engines; the one-slice engine is built per run.
+  const bool sharded = shards != nullptr && shards->set != nullptr &&
+                       !shards->slices.empty();
+  ShardPlan whole;
+  if (!sharded) whole.slices.push_back({0, &table, suspects, 0});
+  const ShardPlan& plan = sharded ? *shards : whole;
+  const size_t num_slices = plan.slices.size();
+  std::vector<size_t> offsets(num_slices);
+  for (size_t s = 0; s < num_slices; ++s) offsets[s] = plan.slices[s].offset;
+
+  // The reference set as positional bitmaps over each slice: tp of a
+  // predicate is then a popcount of the AND.
+  std::vector<Bitmap> ref_parts(num_slices);
+  for (size_t s = 0; s < num_slices; ++s) {
+    const std::vector<RowId>& local = plan.slices[s].local_rows;
+    ref_parts[s] = Bitmap(local.size());
+    if (!have_reference) continue;
+    for (size_t i = 0; i < local.size(); ++i) {
       if (std::binary_search(reference_positive.begin(),
-                             reference_positive.end(), suspects[i])) {
-        reference_bitmap.Set(i);
+                             reference_positive.end(),
+                             suspects[offsets[s] + i])) {
+        ref_parts[s].Set(i);
       }
     }
   }
 
   std::vector<RankedPredicate> scored(n);
-  std::vector<Bitmap> matched(n);
+  std::vector<std::vector<Bitmap>> matched(n);
   ParallelOptions popts;
   popts.num_threads = options_.num_threads;
   popts.ctx = &ctx;
+  RankStats stats;
 
   // Vectorized matching: enumerators emit conjunctions that share
   // single-attribute clauses (threshold families, repeated categorical
-  // equalities), so each distinct clause is scanned ONCE by a typed
-  // kernel — chunked over the same pool — and a predicate's bitmap is
-  // an AND of cached words. MatchPrepared is const, so the scoring
-  // loop below reads the cache concurrently without synchronization.
-  MatchEngine engine(table, suspects);
-  bool use_kernels = options_.use_match_kernels;
-  RankStats stats;
-
-  // Sharded kernel path: one cached engine per shard, each matching
-  // over that shard's slice of the suspect universe in shard-local
-  // coordinates. The per-set cache is what survives between explains —
-  // an append grows only the tail shard's table, so every other
-  // shard's engine passes the freshness check and returns warm.
-  bool shard_scoring = use_kernels && shards != nullptr &&
-                       shards->set != nullptr && !shards->slices.empty();
-  const size_t num_slices = shard_scoring ? shards->slices.size() : 0;
+  // equalities), so each distinct clause is scanned ONCE per slice by
+  // a typed kernel — chunked over the same pool — and a predicate's
+  // bitmap is an AND of cached words or one fused pass. MatchPrepared
+  // is const, so the scoring loop below reads the engines concurrently
+  // without synchronization.
+  //
+  // Sharded runs check one cached engine out per shard, each matching
+  // that shard's slice of the universe in shard-local coordinates. The
+  // per-set cache is what survives between explains — an append grows
+  // only the tail shard's table, so every other shard's engine passes
+  // the freshness check and returns warm.
   std::shared_ptr<ShardEngineCache> cache;
-  std::vector<std::unique_ptr<MatchEngine>> shard_engines(num_slices);
-  std::vector<Bitmap> ref_parts(num_slices);
-  std::vector<size_t> offsets(num_slices, 0);
-  // Reused engines carry cumulative counters across explains; per-run
-  // stats are deltas from these checkout-time snapshots.
-  struct CounterBase {
-    size_t lookups = 0, hits = 0, misses = 0, mats = 0, boxed = 0;
-    size_t f_lookups = 0, f_hits = 0, f_compiles = 0, f_fallbacks = 0;
-    size_t f_evals = 0;
-    double f_compile_ms = 0.0;
-  };
-  std::vector<CounterBase> bases(num_slices);
-  // Fills per-shard stat lanes from the counter deltas and returns
-  // every engine to the cache warm; safe to call at most once.
-  auto finish_shards = [&]() {
-    for (size_t s = 0; s < shard_engines.size(); ++s) {
-      if (shard_engines[s] == nullptr) continue;
-      ShardRankStats& ss = stats.shard_stats[s];
-      const MatchEngine& se = *shard_engines[s];
-      ss.clause_lookups = se.clause_lookups() - bases[s].lookups;
-      ss.cache_hits = se.cache_hits() - bases[s].hits;
-      ss.cache_misses = se.cache_misses() - bases[s].misses;
-      ss.bitmaps_materialized = se.bitmaps_materialized() - bases[s].mats;
-      ss.cached_clauses = se.num_cached_clauses();
-      ss.fused_lookups = se.fused_lookups() - bases[s].f_lookups;
-      ss.fused_hits = se.fused_hits() - bases[s].f_hits;
-      ss.fused_compiles = se.fused_compiles() - bases[s].f_compiles;
-      ss.fused_fallbacks = se.fused_fallbacks() - bases[s].f_fallbacks;
-      ss.fused_evals = se.fused_evals() - bases[s].f_evals;
-      ss.cached_programs = se.num_fused_programs();
-      stats.clause_lookups += ss.clause_lookups;
-      stats.cache_hits += ss.cache_hits;
-      stats.cache_misses += ss.cache_misses;
-      stats.bitmaps_materialized += ss.bitmaps_materialized;
-      stats.boxed_fallbacks += se.boxed_fallbacks() - bases[s].boxed;
-      stats.fused_lookups += ss.fused_lookups;
-      stats.fused_hits += ss.fused_hits;
-      stats.fused_compiles += ss.fused_compiles;
-      stats.fused_fallbacks += ss.fused_fallbacks;
-      stats.fused_evals += ss.fused_evals;
-      stats.fused_programs += ss.cached_programs;
-      stats.fused_compile_ms +=
-          se.fused_compile_ms() - bases[s].f_compile_ms;
-      if (stats.simd_tier.empty()) stats.simd_tier = SimdTierName(se.simd_tier());
-      cache->Checkin(ss.shard_index, std::move(shard_engines[s]));
+  if (sharded) cache = ShardEngineCache::For(*shards->set);
+  std::vector<std::unique_ptr<MatchEngine>> engines(num_slices);
+  std::vector<ExplainProfile::ShardLane> lanes(num_slices);
+  for (size_t s = 0; s < num_slices; ++s) {
+    lanes[s].shard_index = plan.slices[s].shard_index;
+    lanes[s].rows = plan.slices[s].table->num_rows();
+    lanes[s].suspects = plan.slices[s].local_rows.size();
+  }
+  // Reused engines carry cumulative counters across explains; a lane
+  // reports the delta from its checkout-time snapshot.
+  std::vector<MatchCounters> before(num_slices);
+  // Fills the lanes, sums them into `stats` and returns every shard
+  // engine to the cache warm. Runs once, on whichever exit comes first.
+  bool engines_finished = false;
+  auto finish_engines = [&]() {
+    if (engines_finished) return;
+    engines_finished = true;
+    for (size_t s = 0; s < num_slices; ++s) {
+      if (engines[s] == nullptr) continue;
+      ExplainProfile::ShardLane& lane = lanes[s];
+      const MatchEngine& engine = *engines[s];
+      lane.match = engine.counters() - before[s];
+      lane.cached_clauses = engine.num_cached_clauses();
+      lane.cached_programs = engine.num_fused_programs();
+      stats.match += lane.match;
+      stats.fused_programs += lane.cached_programs;
+      if (stats.simd_tier.empty()) {
+        stats.simd_tier = SimdTierName(engine.simd_tier());
+      }
+      if (sharded) cache->Checkin(lane.shard_index, std::move(engines[s]));
     }
+    if (sharded) stats.shard_stats = std::move(lanes);
   };
 
   std::vector<const Predicate*> preds;
-  if (use_kernels) {
-    preds.reserve(n);
-    for (const EnumeratedPredicate& ep : predicates) {
-      preds.push_back(&ep.predicate);
-    }
+  preds.reserve(n);
+  for (const EnumeratedPredicate& ep : predicates) {
+    preds.push_back(&ep.predicate);
   }
-  if (shard_scoring) {
-    cache = ShardEngineCache::For(*shards->set);
-    stats.shard_stats.resize(num_slices);
-    const auto t_mat = std::chrono::steady_clock::now();
-    Status materialized = Status::OK();
-    // Shards materialize serially (each internally chunked over the
-    // pool), so per-shard wall times are honest and the budget charge
-    // order is deterministic.
-    for (size_t s = 0; s < num_slices && materialized.ok(); ++s) {
-      const ShardSlice& slice = shards->slices[s];
-      offsets[s] = slice.offset;
-      ShardRankStats& ss = stats.shard_stats[s];
-      ss.shard_index = slice.shard_index;
-      ss.rows = slice.table->num_rows();
-      ss.suspects = slice.local_rows.size();
+  const auto t_mat = std::chrono::steady_clock::now();
+  Status materialized = Status::OK();
+  // Slices materialize serially (each internally chunked over the
+  // pool), so per-shard wall times are honest and the budget charge
+  // order is deterministic.
+  for (size_t s = 0; s < num_slices && materialized.ok(); ++s) {
+    const ShardSlice& slice = plan.slices[s];
+    ExplainProfile::ShardLane& lane = lanes[s];
+    if (sharded) {
       materialized = [&]() -> Status {
         DBW_FAULT(ctx, "ranker/shard");
         return Status::OK();
@@ -297,64 +266,31 @@ Result<RankOutcome> PredicateRanker::RankDelta(
       if (!materialized.ok()) break;
       ShardEngineCache::Checkout co = cache->CheckoutEngine(
           slice.shard_index, *slice.table, slice.local_rows);
-      ss.engine_reused = co.reused;
-      bases[s] = {co.engine->clause_lookups(),
-                  co.engine->cache_hits(),
-                  co.engine->cache_misses(),
-                  co.engine->bitmaps_materialized(),
-                  co.engine->boxed_fallbacks(),
-                  co.engine->fused_lookups(),
-                  co.engine->fused_hits(),
-                  co.engine->fused_compiles(),
-                  co.engine->fused_fallbacks(),
-                  co.engine->fused_evals(),
-                  co.engine->fused_compile_ms()};
-      shard_engines[s] = std::move(co.engine);
-      const auto t_shard = std::chrono::steady_clock::now();
-      materialized = shard_engines[s]->Materialize(preds, popts);
-      ss.materialize_ms =
-          MillisBetween(t_shard, std::chrono::steady_clock::now());
-      ref_parts[s] = Bitmap(slice.local_rows.size());
-      if (have_reference) {
-        for (size_t i = 0; i < slice.local_rows.size(); ++i) {
-          if (reference_bitmap.Test(slice.offset + i)) ref_parts[s].Set(i);
-        }
-      }
+      lane.engine_reused = co.reused;
+      engines[s] = std::move(co.engine);
+      before[s] = engines[s]->counters();
+    } else {
+      engines[s] = std::make_unique<MatchEngine>(table, slice.local_rows);
     }
-    stats.materialize_ms =
-        MillisBetween(t_mat, std::chrono::steady_clock::now());
-    if (!materialized.ok()) {
-      // An interrupted shard rolled its fresh entries back; completed
-      // shards stay warm for the next run either way.
-      finish_shards();
-      stats.shard_stats.clear();
-      if (materialized.IsResourceExhausted()) {
-        use_kernels = false;  // degrade to the fused boxed path below
-        shard_scoring = false;
-      } else if (materialized.IsInterrupt()) {
-        return MakeOutcome({}, 0, n, ctx, false);
-      } else {
-        return materialized;
-      }
-    }
-  } else if (use_kernels) {
-    const auto t_mat = std::chrono::steady_clock::now();
-    Status materialized = engine.Materialize(preds, popts);
-    stats.materialize_ms =
-        MillisBetween(t_mat, std::chrono::steady_clock::now());
-    if (!materialized.ok()) {
-      if (materialized.IsResourceExhausted()) {
-        // Bitmap budget cannot hold the clause cache: degrade to boxed
-        // per-predicate matching, which allocates one bitmap at a time.
-        use_kernels = false;
-      } else if (materialized.IsInterrupt()) {
-        return MakeOutcome({}, 0, n, ctx, false);
-      } else {
-        return materialized;
-      }
+    const auto t_slice = std::chrono::steady_clock::now();
+    materialized = engines[s]->Materialize(preds, popts);
+    lane.materialize_ms =
+        MillisBetween(t_slice, std::chrono::steady_clock::now());
+  }
+  stats.materialize_ms = MillisBetween(t_mat, std::chrono::steady_clock::now());
+  // The bitmap budget cannot hold the clause cache: degrade to
+  // per-predicate BoundPredicate matching, which allocates one bitmap
+  // at a time.
+  const bool bound_matching = materialized.IsResourceExhausted();
+  if (!materialized.ok()) {
+    // A failed slice rolled its fresh entries back; completed shards
+    // stay warm for the next run either way.
+    finish_engines();
+    if (!bound_matching) {
+      if (materialized.IsInterrupt()) return MakeOutcome({}, 0, n, ctx, false);
+      return materialized;
     }
   }
-  std::vector<std::vector<Bitmap>> matched_parts(shard_scoring ? n : 0);
 
   // Anytime scoring: predicates are processed in fixed-size blocks and
   // a block marks itself done only after scoring every member. On an
@@ -393,39 +329,27 @@ Result<RankOutcome> PredicateRanker::RankDelta(
           RankedPredicate& rp = scored[i];
           rp.predicate = ep.predicate;
           rp.strategy = ep.strategy;
-          RemovalScorer::Errors errors;
+          // Per-slice bitmaps, folded in slice order: offsets ascend,
+          // so removals apply in ascending global suspect order at
+          // every shard count.
+          std::vector<Bitmap> parts(num_slices);
           size_t tp = 0;
-          if (shard_scoring) {
-            // Per-shard bitmaps, folded in slice order: offsets ascend,
-            // so removals apply in ascending global suspect order and
-            // every sum visits the same operands as the fused path.
-            std::vector<Bitmap> parts(num_slices);
-            size_t count = 0;
-            for (size_t s = 0; s < num_slices; ++s) {
-              DBW_ASSIGN_OR_RETURN(
-                  parts[s],
-                  shard_engines[s]->MatchPrepared(ep.predicate, ctx));
-              count += parts[s].CountOnes();
-              if (have_reference) tp += parts[s].CountAnd(ref_parts[s]);
-            }
-            rp.matched_in_suspects = count;
-            errors = scorer.ErrorsAfterParts(metric, parts, offsets);
-            matched_parts[i] = std::move(parts);
-          } else {
-            Bitmap bm;
-            if (use_kernels) {
-              DBW_ASSIGN_OR_RETURN(bm,
-                                   engine.MatchPrepared(ep.predicate, ctx));
-            } else {
+          for (size_t s = 0; s < num_slices; ++s) {
+            if (bound_matching) {
+              const ShardSlice& slice = plan.slices[s];
               DBW_ASSIGN_OR_RETURN(BoundPredicate bound,
-                                   ep.predicate.Bind(table));
-              bm = bound.MatchBitmap(suspects);
+                                   ep.predicate.Bind(*slice.table));
+              parts[s] = bound.MatchBitmap(slice.local_rows);
+            } else {
+              DBW_ASSIGN_OR_RETURN(
+                  parts[s], engines[s]->MatchPrepared(ep.predicate, ctx));
             }
-            rp.matched_in_suspects = bm.CountOnes();
-            errors = scorer.ErrorsAfter(metric, bm);
-            if (have_reference) tp = bm.CountAnd(reference_bitmap);
-            matched[i] = std::move(bm);
+            rp.matched_in_suspects += parts[s].CountOnes();
+            if (have_reference) tp += parts[s].CountAnd(ref_parts[s]);
           }
+          const RemovalScorer::Errors errors =
+              scorer.ErrorsAfterParts(metric, parts, offsets);
+          matched[i] = std::move(parts);
           rp.error_after = errors.raw;
           FinishScore(options_, have_reference, w_error, w_acc,
                       per_group_baseline, errors.per_group, tp,
@@ -438,7 +362,7 @@ Result<RankOutcome> PredicateRanker::RankDelta(
       popts);
   stats.score_ms = MillisBetween(t_score, std::chrono::steady_clock::now());
   if (!scan.ok() && !scan.IsInterrupt()) {
-    if (shard_scoring) finish_shards();  // hand engines back warm
+    finish_engines();  // hand shard engines back warm
     return scan;
   }
 
@@ -448,169 +372,22 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   const size_t prefix = std::min(n, done_blocks * kScoreBlock);
   scored.resize(prefix);
   matched.resize(prefix);
-  if (shard_scoring) matched_parts.resize(prefix);
-  std::vector<RankedPredicate> ranked =
-      shard_scoring
-          ? CombinePartialRankings(
-                &scored, [&](size_t i) { return HashParts(matched_parts[i]); },
-                [&](size_t a, size_t b) {
-                  return matched_parts[a] == matched_parts[b];
-                },
-                options_.top_k)
-          : CombinePartialRankings(
-                &scored, [&](size_t i) { return matched[i].Hash(); },
-                [&](size_t a, size_t b) { return matched[a] == matched[b]; },
-                options_.top_k);
+  // With a fixed plan every predicate's parts have identical shapes,
+  // so part-vector equality is matched-set equality.
+  std::vector<RankedPredicate> ranked = CombinePartialRankings(
+      &scored, [&](size_t i) { return HashParts(matched[i]); },
+      [&](size_t a, size_t b) { return matched[a] == matched[b]; },
+      options_.top_k);
 
   stats.blocks_total = num_blocks;
   stats.blocks_done = done_blocks;
   stats.block_ms = std::move(block_ms);
-  stats.used_kernels = use_kernels;
-  if (shard_scoring) {
-    finish_shards();  // top-level counters become the lane sums
-  } else {
-    stats.clause_lookups = engine.clause_lookups();
-    stats.cache_hits = engine.cache_hits();
-    stats.cache_misses = engine.cache_misses();
-    stats.bitmaps_materialized = engine.bitmaps_materialized();
-    stats.boxed_fallbacks = engine.boxed_fallbacks();
-    stats.fused_lookups = engine.fused_lookups();
-    stats.fused_hits = engine.fused_hits();
-    stats.fused_compiles = engine.fused_compiles();
-    stats.fused_fallbacks = engine.fused_fallbacks();
-    stats.fused_evals = engine.fused_evals();
-    stats.fused_programs = engine.num_fused_programs();
-    stats.fused_compile_ms = engine.fused_compile_ms();
-    if (use_kernels) stats.simd_tier = SimdTierName(engine.simd_tier());
-  }
+  finish_engines();  // stats.match becomes the lane sum
   Metrics().blocks_scored->Increment(done_blocks);
   Metrics().predicates_scored->Increment(prefix);
 
   RankOutcome out = MakeOutcome(std::move(ranked), prefix, n, ctx,
                                 budget_stop.load(std::memory_order_acquire));
-  if (out.partial) Metrics().partial_runs->Increment();
-  out.stats = std::move(stats);
-  return out;
-}
-
-Result<RankOutcome> PredicateRanker::RankReference(
-    const Table& table, const QueryResult& result,
-    const std::vector<size_t>& selected_groups, const ErrorMetric& metric,
-    size_t agg_index, const std::vector<RowId>& suspects,
-    const std::vector<RowId>& reference_positive, double per_group_baseline,
-    const std::vector<EnumeratedPredicate>& predicates,
-    const ExecContext& ctx) const {
-  const size_t n = predicates.size();
-  const bool have_reference = !reference_positive.empty();
-  double w_error = options_.w_error;
-  double w_acc = options_.w_accuracy;
-  if (!have_reference) {
-    w_error += w_acc;
-    w_acc = 0.0;
-  }
-
-  bool budget_stop = false;
-  std::vector<RankedPredicate> scored;
-  std::vector<std::vector<RowId>> matched_sets;
-  scored.reserve(n);
-  matched_sets.reserve(n);
-  RankStats stats;
-  stats.blocks_total = (n + kScoreBlock - 1) / kScoreBlock;
-  stats.block_ms.assign(stats.blocks_total, 0.0);
-  const auto t_score = std::chrono::steady_clock::now();
-  auto t_block = t_score;
-  // Serial loop; the anytime cut is simply how far it got, rounded
-  // down to a whole block so both engines report identical prefixes.
-  for (const EnumeratedPredicate& ep : predicates) {
-    if (ctx.StopRequested()) break;
-    if (scored.size() % kScoreBlock == 0) {
-      const auto now = std::chrono::steady_clock::now();
-      if (!scored.empty()) {
-        stats.block_ms[scored.size() / kScoreBlock - 1] =
-            MillisBetween(t_block, now);
-      }
-      t_block = now;
-      DBW_FAULT(ctx, "ranker/score");
-      if (ctx.budget != nullptr) {
-        const size_t block =
-            std::min(kScoreBlock, n - scored.size());
-        Status charged = ctx.budget->ChargeScoredRemovals(block);
-        if (!charged.ok()) {
-          budget_stop = true;
-          break;
-        }
-      }
-    }
-    DBW_ASSIGN_OR_RETURN(BoundPredicate bound, ep.predicate.Bind(table));
-
-    // Tuples of F the predicate matches = the tuples cleaning removes
-    // from the selected groups.
-    std::vector<RowId> matched;
-    for (RowId r : suspects) {
-      if (bound.Matches(r)) matched.push_back(r);
-    }
-
-    RankedPredicate rp;
-    rp.predicate = ep.predicate;
-    rp.strategy = ep.strategy;
-    rp.matched_in_suspects = matched.size();
-
-    // Raw metric for display; per-group mean for the improvement term.
-    DBW_ASSIGN_OR_RETURN(
-        rp.error_after,
-        ErrorAfterRemoval(table, result, selected_groups, metric, agg_index,
-                          matched));
-    DBW_ASSIGN_OR_RETURN(
-        const double per_group_after,
-        PerGroupErrorAfterRemoval(table, result, selected_groups, metric,
-                                  agg_index, matched));
-    size_t tp = 0;
-    if (have_reference) {
-      for (RowId r : matched) {
-        if (std::binary_search(reference_positive.begin(),
-                               reference_positive.end(), r)) {
-          ++tp;
-        }
-      }
-    }
-    FinishScore(options_, have_reference, w_error, w_acc, per_group_baseline,
-                per_group_after, tp, reference_positive.size(), &rp);
-    scored.push_back(std::move(rp));
-    matched_sets.push_back(std::move(matched));
-  }
-
-  stats.score_ms = MillisBetween(t_score, std::chrono::steady_clock::now());
-  // Close the final block's slot if the loop finished it.
-  if (!scored.empty() &&
-      (scored.size() == n || scored.size() % kScoreBlock == 0)) {
-    stats.block_ms[(scored.size() - 1) / kScoreBlock] =
-        MillisBetween(t_block, std::chrono::steady_clock::now());
-  }
-
-  size_t prefix = scored.size();
-  if (prefix < n) {
-    prefix -= prefix % kScoreBlock;  // whole blocks only, like the
-                                     // parallel engine's cut
-    scored.resize(prefix);
-    matched_sets.resize(prefix);
-  }
-  stats.blocks_done = (prefix + kScoreBlock - 1) / kScoreBlock;
-  Metrics().blocks_scored->Increment(stats.blocks_done);
-  Metrics().predicates_scored->Increment(prefix);
-
-  auto hash_of = [&](size_t i) {
-    uint64_t hash = 0x9E3779B97F4A7C15ULL;
-    for (RowId r : matched_sets[i]) {
-      hash ^= std::hash<RowId>{}(r) + 0x9E3779B9u + (hash << 6) +
-              (hash >> 2);
-    }
-    return hash;
-  };
-  std::vector<RankedPredicate> ranked = CombinePartialRankings(
-      &scored, hash_of,
-      [&](size_t a, size_t b) { return matched_sets[a] == matched_sets[b]; },
-      options_.top_k);
-  RankOutcome out = MakeOutcome(std::move(ranked), prefix, n, ctx, budget_stop);
   if (out.partial) Metrics().partial_runs->Increment();
   out.stats = std::move(stats);
   return out;

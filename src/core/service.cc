@@ -2061,7 +2061,7 @@ Service::Response Service::RunDebug(ManagedSession& ms) {
   if (ms.settings.profile_enabled) {
     r.Add("profile", ExplainProfileToJson(exp->profile, /*pretty=*/false));
   }
-  r.debug_cache_hits = exp->profile.cache_hits;
+  r.debug_cache_hits = exp->profile.match.cache_hits;
   r.debug_stages =
       "{\"preprocess_ms\": " + FormatDouble(exp->profile.preprocess_ms) +
       ", \"enumerate_ms\": " + FormatDouble(exp->profile.enumerate_ms) +

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_set>
 
@@ -16,46 +15,65 @@ namespace dbwipes {
 
 namespace {
 
-/// Process-wide counters, mirrored from the per-engine members so the
-/// Service `stats` snapshot can report matching behavior across every
-/// engine instance. Pointers are resolved once; increments are relaxed
-/// atomics on cold-ish paths (per clause lookup / per materialize
-/// call), never per row.
+/// One row per MatchCounters count: its process-wide registry name.
+/// The counter operators and the registry publication both iterate
+/// this table, so a count cannot be summed but not published (or the
+/// reverse).
+struct CountField {
+  const char* name;
+  size_t MatchCounters::*field;
+};
+constexpr CountField kCountFields[] = {
+    {"match.cache_hits", &MatchCounters::cache_hits},
+    {"match.cache_misses", &MatchCounters::cache_misses},
+    {"match.bitmaps_materialized", &MatchCounters::bitmaps_materialized},
+    {"match.fused_lookups", &MatchCounters::fused_lookups},
+    {"match.fused_hits", &MatchCounters::fused_hits},
+    {"match.fused_compiles", &MatchCounters::fused_compiles},
+    {"match.fused_fallbacks", &MatchCounters::fused_fallbacks},
+    {"match.fused_evals", &MatchCounters::fused_evals},
+};
+constexpr size_t kNumCountFields = sizeof(kCountFields) / sizeof(CountField);
+
+/// Process-wide mirrors of the per-engine counters, so the Service
+/// `stats` snapshot reports matching behavior across every engine
+/// instance. Pointers are resolved once; engines publish per-batch
+/// deltas (and fused evals one at a time), never per row.
 struct MatchMetrics {
   MetricCounter* materialize_calls;
   MetricCounter* clause_lookups;
-  MetricCounter* cache_hits;
-  MetricCounter* cache_misses;
-  MetricCounter* bitmaps_materialized;
-  MetricCounter* boxed_fallbacks;
-  MetricCounter* fused_lookups;
-  MetricCounter* fused_hits;
-  MetricCounter* fused_compiles;
-  MetricCounter* fused_fallbacks;
-  MetricCounter* fused_evals;
+  MetricCounter* counts[kNumCountFields];
 };
 
 const MatchMetrics& Metrics() {
-  static const MatchMetrics m = {
-      MetricsRegistry::Global().GetCounter("match.materialize_calls"),
-      MetricsRegistry::Global().GetCounter("match.clause_lookups"),
-      MetricsRegistry::Global().GetCounter("match.cache_hits"),
-      MetricsRegistry::Global().GetCounter("match.cache_misses"),
-      MetricsRegistry::Global().GetCounter("match.bitmaps_materialized"),
-      MetricsRegistry::Global().GetCounter("match.boxed_fallbacks"),
-      MetricsRegistry::Global().GetCounter("match.fused_lookups"),
-      MetricsRegistry::Global().GetCounter("match.fused_hits"),
-      MetricsRegistry::Global().GetCounter("match.fused_compiles"),
-      MetricsRegistry::Global().GetCounter("match.fused_fallbacks"),
-      MetricsRegistry::Global().GetCounter("match.fused_evals"),
-  };
+  static const MatchMetrics m = [] {
+    MatchMetrics out;
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    out.materialize_calls = registry.GetCounter("match.materialize_calls");
+    out.clause_lookups = registry.GetCounter("match.clause_lookups");
+    for (size_t i = 0; i < kNumCountFields; ++i) {
+      out.counts[i] = registry.GetCounter(kCountFields[i].name);
+    }
+    return out;
+  }();
   return m;
 }
 
-bool FusedEnabledFromEnv() {
-  const char* env = std::getenv("DBWIPES_FUSED");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0);
+void Publish(const MatchCounters& delta) {
+  const MatchMetrics& m = Metrics();
+  if (delta.clause_lookups() > 0) {
+    m.clause_lookups->Increment(delta.clause_lookups());
+  }
+  for (size_t i = 0; i < kNumCountFields; ++i) {
+    const size_t n = delta.*kCountFields[i].field;
+    if (n > 0) m.counts[i]->Increment(n);
+  }
+}
+
+ParallelOptions Serial() {
+  ParallelOptions options;
+  options.num_threads = 1;
+  return options;
 }
 
 double MsSince(std::chrono::steady_clock::time_point t0) {
@@ -333,8 +351,7 @@ MatchEngine::MatchEngine(const Table& table, std::vector<RowId> rows)
     : table_(&table),
       rows_(std::move(rows)),
       built_num_rows_(table.num_rows()),
-      tier_(ResolveSimdTier()),
-      fused_enabled_(FusedEnabledFromEnv()) {
+      tier_(ResolveSimdTier()) {
   // A contiguous universe (the common full-table / dense-suspect case)
   // lets the SIMD tier use plain loads instead of gathers.
   rows_contiguous_ = true;
@@ -357,35 +374,23 @@ Status MatchEngine::CheckFresh() const {
   return Status::OK();
 }
 
-MatchEngine::ClauseEntry* MatchEngine::EnsureClause(const Clause& clause,
-                                                    const std::string& key) {
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    ++cache_hits_;
-    Metrics().clause_lookups->Increment();
-    Metrics().cache_hits->Increment();
-    return &entries_[it->second];
-  }
-  ++cache_misses_;
-  Metrics().clause_lookups->Increment();
-  Metrics().cache_misses->Increment();
-  ClauseEntry entry;
-  Result<CompiledClause> compiled = CompileClause(clause, *table_);
-  if (compiled.ok()) {
-    entry.supported = true;
-    entry.bits = Bitmap(rows_.size());
-    MatchClauseWords(*compiled, rows_, 0, entry.bits.num_words(),
-                     &entry.bits);
-    ++bitmaps_materialized_;
-    Metrics().bitmaps_materialized->Increment();
-  }
-  // Clauses the kernels cannot translate stay cached as unsupported;
-  // predicates touching them fall back to the boxed path, where Bind
-  // reports the same failure (or handles the shape).
-  const size_t slot = entries_.size();
-  index_.emplace(key, slot);
-  entries_.push_back(std::move(entry));
-  return &entries_[slot];
+MatchCounters& MatchCounters::operator+=(const MatchCounters& other) {
+  for (const CountField& f : kCountFields) this->*f.field += other.*f.field;
+  fused_compile_ms += other.fused_compile_ms;
+  return *this;
+}
+
+MatchCounters MatchCounters::operator-(const MatchCounters& before) const {
+  MatchCounters out = *this;
+  for (const CountField& f : kCountFields) out.*f.field -= before.*f.field;
+  out.fused_compile_ms -= before.fused_compile_ms;
+  return out;
+}
+
+MatchCounters MatchEngine::counters() const {
+  MatchCounters out = counters_;
+  out.fused_evals = fused_evals_.n.load(std::memory_order_relaxed);
+  return out;
 }
 
 Status MatchEngine::Materialize(
@@ -395,14 +400,27 @@ Status MatchEngine::Materialize(
   const ExecContext& ctx =
       options.ctx != nullptr ? *options.ctx : ExecContext::None();
   DBW_FAULT(ctx, "match/materialize");
-  if (fused_enabled_) {
-    // Fused-conjunction planning is part of every materialize batch, so
-    // the site trips whenever fused compilation is on (nothing has been
-    // mutated yet; an injected error needs no rollback).
-    DBW_FAULT(ctx, "match/fused");
-  }
+  // Fused-conjunction planning is part of every materialize batch
+  // (nothing has been mutated yet; an injected error needs no
+  // rollback).
+  DBW_FAULT(ctx, "match/fused");
   DBW_TRACE_SPAN("match/materialize");
   Metrics().materialize_calls->Increment();
+  return AddToCache(predicates, options, /*plan_fused=*/true);
+}
+
+Status MatchEngine::AddToCache(const std::vector<const Predicate*>& predicates,
+                               const ParallelOptions& options,
+                               bool plan_fused) {
+  const ExecContext& ctx =
+      options.ctx != nullptr ? *options.ctx : ExecContext::None();
+  // Counters move only here (and in MatchPrepared's fused_evals); the
+  // registry sees this call's delta on every exit path.
+  struct PublishOnExit {
+    const MatchCounters& now;
+    const MatchCounters before;
+    ~PublishOnExit() { Publish(now - before); }
+  } publish{counters_, counters_};
 
   // State added by this call lives at the tail of entries_ /
   // fused_entries_; on an interrupt or failure it is rolled back
@@ -450,19 +468,14 @@ Status MatchEngine::Materialize(
   // Batch-local compile cache shared by the fused planner and the
   // clause materializer, so no clause compiles twice per batch.
   // unordered_map values are pointer-stable across inserts.
-  std::unordered_map<std::string, CompiledClause> compiled_ok;
-  std::unordered_set<std::string> compile_failed;
-  auto compile_key = [&](const Clause& c,
-                         const std::string& key) -> const CompiledClause* {
-    auto it = compiled_ok.find(key);
-    if (it != compiled_ok.end()) return &it->second;
-    if (compile_failed.count(key) != 0) return nullptr;
-    Result<CompiledClause> r = CompileClause(c, *table_);
-    if (!r.ok()) {
-      compile_failed.insert(key);
-      return nullptr;
+  std::unordered_map<std::string, Result<CompiledClause>> compiled;
+  auto compile_key = [&](const Clause& c, const std::string& key)
+      -> const Result<CompiledClause>& {
+    auto it = compiled.find(key);
+    if (it == compiled.end()) {
+      it = compiled.emplace(key, CompileClause(c, *table_)).first;
     }
-    return &compiled_ok.emplace(key, *std::move(r)).first->second;
+    return it->second;
   };
 
   // Pass 1 (serial): plan fused programs for multi-clause predicates.
@@ -485,17 +498,15 @@ Status MatchEngine::Materialize(
   std::unordered_set<std::string> planned_keys;  // batch-local dedupe
   // handled[i]: 0 = word-AND path, 1 = program planned or cached.
   std::vector<uint8_t> handled(predicates.size(), 0);
-  if (fused_enabled_) {
+  if (plan_fused) {
     const auto plan_t0 = std::chrono::steady_clock::now();
     for (size_t i = 0; i < predicates.size(); ++i) {
       if (pred_keys[i].size() < 2) continue;  // nothing to fuse
-      ++fused_lookups_;
-      Metrics().fused_lookups->Increment();
+      ++counters_.fused_lookups;
       std::string pred_key = PredicateKey(pred_keys[i]);
       if (fused_index_.count(pred_key) != 0 ||
           planned_keys.count(pred_key) != 0) {
-        ++fused_hits_;
-        Metrics().fused_hits->Increment();
+        ++counters_.fused_hits;
         handled[i] = 1;
         continue;
       }
@@ -508,15 +519,14 @@ Status MatchEngine::Materialize(
         PlannedOp op{&pred_keys[i][j], &clauses[j], false};
         auto cached = index_.find(*op.key);
         if (cached != index_.end()) {
-          // An unsupported cached clause has no bitmap to reference;
-          // the predicate must keep boxing via the word-AND path.
-          if (!entries_[cached->second].supported) {
+          // A cached clause that failed to compile has no bitmap to
+          // reference; the word-AND path reports its error.
+          if (!entries_[cached->second].compiled.ok()) {
             fusible = false;
             break;
           }
         } else {
-          const CompiledClause* cc = compile_key(clauses[j], *op.key);
-          if (cc == nullptr) {
+          if (!compile_key(clauses[j], *op.key).ok()) {
             fusible = false;
             break;
           }
@@ -526,17 +536,15 @@ Status MatchEngine::Materialize(
         plan.ops.push_back(op);
       }
       if (!fusible || inline_count == 0) {
-        ++fused_fallbacks_;
-        Metrics().fused_fallbacks->Increment();
+        ++counters_.fused_fallbacks;
         continue;
       }
-      ++fused_compiles_;
-      Metrics().fused_compiles->Increment();
+      ++counters_.fused_compiles;
       handled[i] = 1;
       planned_keys.insert(plan.pred_key);
       planned.push_back(std::move(plan));
     }
-    fused_compile_ms_ += MsSince(plan_t0);
+    counters_.fused_compile_ms += MsSince(plan_t0);
   }
 
   // Pass 2 (serial): dedupe and compile the distinct new clauses that
@@ -549,24 +557,21 @@ Status MatchEngine::Materialize(
   auto ensure_entry = [&](const Clause& c, const std::string& key) -> Status {
     auto it = index_.find(key);
     if (it != index_.end()) {
-      ++cache_hits_;
-      Metrics().clause_lookups->Increment();
-      Metrics().cache_hits->Increment();
+      ++counters_.cache_hits;
       return Status::OK();
     }
-    ++cache_misses_;
-    Metrics().clause_lookups->Increment();
-    Metrics().cache_misses->Increment();
+    ++counters_.cache_misses;
     ClauseEntry entry;
-    const CompiledClause* compiled = compile_key(c, key);
-    if (compiled != nullptr) {
+    const Result<CompiledClause>& cc = compile_key(c, key);
+    if (cc.ok()) {
       if (ctx.budget != nullptr) {
         DBW_RETURN_NOT_OK(ctx.budget->ChargeBitmapBytes(bitmap_bytes));
       }
-      entry.supported = true;
       entry.bits = Bitmap(rows_.size());
       fresh.push_back(entries_.size());
-      programs.push_back(compiled);
+      programs.push_back(&*cc);
+    } else {
+      entry.compiled = cc.status();
     }
     index_.emplace(key, entries_.size());
     entries_.push_back(std::move(entry));
@@ -609,7 +614,7 @@ Status MatchEngine::Materialize(
       FusedEntry fe;
       for (const PlannedOp& op : plan.ops) {
         if (op.inline_op) {
-          const CompiledClause& cc = compiled_ok.at(*op.key);
+          const CompiledClause& cc = *compiled.at(*op.key);
           const Bitmap* valid = nullptr;
           if (!cc.is_string && cc.column->has_nulls()) {
             valid = EnsureValidity(*cc.column, &validity_added);
@@ -624,7 +629,7 @@ Status MatchEngine::Materialize(
       fused_index_.emplace(std::move(plan.pred_key), fused_entries_.size());
       fused_entries_.push_back(std::move(fe));
     }
-    fused_compile_ms_ += MsSince(lower_t0);
+    counters_.fused_compile_ms += MsSince(lower_t0);
   }
 
   // Pass 4: scan the fresh clause bitmaps.
@@ -675,8 +680,7 @@ Status MatchEngine::Materialize(
   }
   // Only fully scanned bitmaps count as materialized (rolled-back
   // partial scans never reach here).
-  bitmaps_materialized_ += fresh.size();
-  Metrics().bitmaps_materialized->Increment(fresh.size());
+  counters_.bitmaps_materialized += fresh.size();
   return cont;
 }
 
@@ -731,14 +735,16 @@ Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate) const {
 Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate,
                                           const ExecContext& ctx) const {
   DBW_RETURN_NOT_OK(CheckFresh());
-  if (fused_enabled_ && predicate.num_clauses() >= 2) {
+  if (predicate.num_clauses() >= 2) {
     std::vector<std::string> keys;
     keys.reserve(predicate.num_clauses());
     for (const Clause& c : predicate.clauses()) keys.push_back(KeyOf(c));
     auto it = fused_index_.find(PredicateKey(std::move(keys)));
     if (it != fused_index_.end()) {
-      fused_evals_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().fused_evals->Increment();
+      fused_evals_.n.fetch_add(1, std::memory_order_relaxed);
+      MatchCounters one;
+      one.fused_evals = 1;
+      Publish(one);
       return EvalFused(fused_entries_[it->second], ctx);
     }
   }
@@ -751,7 +757,7 @@ Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate,
           "MatchPrepared: clause was not materialized: " + c.ToString());
     }
     const ClauseEntry& entry = entries_[it->second];
-    if (!entry.supported) return MatchBoxed(predicate);
+    DBW_RETURN_NOT_OK(entry.compiled);
     if (first) {
       out = entry.bits;
       first = false;
@@ -768,27 +774,17 @@ Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate,
 
 Result<Bitmap> MatchEngine::Match(const Predicate& predicate) {
   DBW_RETURN_NOT_OK(CheckFresh());
-  for (const Clause& c : predicate.clauses()) {
-    EnsureClause(c, KeyOf(c));
-  }
+  DBW_RETURN_NOT_OK(AddToCache({&predicate}, Serial(), /*plan_fused=*/false));
   return MatchPrepared(predicate);
 }
 
 Result<const Bitmap*> MatchEngine::ClauseBitmap(const Clause& clause) {
   DBW_RETURN_NOT_OK(CheckFresh());
-  ClauseEntry* entry = EnsureClause(clause, KeyOf(clause));
-  if (!entry->supported) {
-    return Status::NotImplemented("no match kernel for clause: " +
-                                  clause.ToString());
-  }
-  return &entry->bits;
-}
-
-Result<Bitmap> MatchEngine::MatchBoxed(const Predicate& predicate) const {
-  boxed_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().boxed_fallbacks->Increment();
-  DBW_ASSIGN_OR_RETURN(BoundPredicate bound, predicate.Bind(*table_));
-  return bound.MatchBitmap(rows_);
+  const Predicate single({clause});
+  DBW_RETURN_NOT_OK(AddToCache({&single}, Serial(), /*plan_fused=*/false));
+  const ClauseEntry& entry = entries_[index_.at(KeyOf(clause))];
+  DBW_RETURN_NOT_OK(entry.compiled);
+  return &entry.bits;
 }
 
 }  // namespace dbwipes

@@ -65,20 +65,11 @@ struct Explanation {
   PreprocessResult preprocess;
   std::vector<CandidateDataset> candidates;
   std::vector<RowId> cleaned_dprime;
-  /// Wall-clock milliseconds per backend stage.
-  double preprocess_ms = 0.0;
-  double enumerate_ms = 0.0;
-  double predicates_ms = 0.0;
-  double rank_ms = 0.0;
 
-  /// Telemetry summary (always collected; see profile.h). The stage
-  /// clocks above are mirrored into it together with work counts,
-  /// MatchEngine cache behavior, pool utilization, and anytime events.
+  /// Telemetry summary (always collected; see profile.h): the stage
+  /// clocks, work counts, MatchEngine counters, pool utilization, and
+  /// anytime events.
   ExplainProfile profile;
-
-  double total_ms() const {
-    return preprocess_ms + enumerate_ms + predicates_ms + rank_ms;
-  }
 };
 
 /// \brief The DBWipes backend facade: run aggregate queries, explain

@@ -6,6 +6,7 @@
 
 #include "dbwipes/common/exec_context.h"
 #include "dbwipes/core/predicate_enumerator.h"
+#include "dbwipes/core/profile.h"
 #include "dbwipes/core/removal.h"
 #include "dbwipes/storage/shard.h"
 
@@ -45,29 +46,34 @@ struct RankerOptions {
   /// Ranked predicates returned.
   size_t top_k = 10;
 
-  /// Which scoring engine Rank uses. Both produce identical orderings
-  /// (a law checked by tests); the delta engine is the fast path.
-  enum class Engine {
-    /// Snapshot + Aggregator::Remove deltas (RemovalScorer), bitmap
-    /// matching, and chunked multi-threaded scoring.
-    kDeltaParallel,
-    /// From-scratch per-predicate recomputation, single-threaded — the
-    /// original implementation, kept as the differential-testing
-    /// reference.
-    kReferenceSerial,
-  };
-  Engine engine = Engine::kDeltaParallel;
-  /// Scoring threads for the delta engine; 0 = DefaultParallelism(),
-  /// 1 = single-threaded delta scoring. Output is identical at every
-  /// thread count.
+  /// Scoring threads; 0 = DefaultParallelism(), 1 = single-threaded.
+  /// Output is identical at every thread count.
   size_t num_threads = 0;
-  /// Delta engine only: match predicates through the vectorized
-  /// MatchEngine (typed clause kernels + shared clause-bitmap cache,
-  /// see dbwipes/expr/match_kernels.h) instead of per-row
-  /// BoundPredicate evaluation. Bitmaps — and therefore orderings —
-  /// are identical either way; off is the differential-testing /
-  /// ablation path.
-  bool use_match_kernels = true;
+};
+
+/// \brief Telemetry one ranking run produces for the ExplainProfile:
+/// phase wall times, per-block timings, and MatchEngine counters.
+struct RankStats {
+  /// MatchEngine::Materialize wall time, all slices.
+  double materialize_ms = 0.0;
+  /// Wall time of the scoring phase (all blocks).
+  double score_ms = 0.0;
+  size_t blocks_total = 0;
+  /// Contiguous done-prefix of blocks (the anytime cut).
+  size_t blocks_done = 0;
+  /// Wall ms per block, slot-per-block; blocks that never completed
+  /// keep 0, so a partial run shows where the deadline cut.
+  std::vector<double> block_ms;
+  /// This run's counter deltas, summed over the slices' engines.
+  MatchCounters match;
+  /// Compiled predicate programs retained across the run's engines.
+  size_t fused_programs = 0;
+  /// SIMD tier the engines dispatched to ("avx2" / "scalar"; "" when
+  /// the run stopped before building one).
+  std::string simd_tier;
+  /// Sharded runs only: one lane per shard, in shard order (empty for
+  /// unsharded runs). `match` above is the lane sum.
+  std::vector<ExplainProfile::ShardLane> shard_stats;
 };
 
 /// \brief Result of an anytime ranking run.
@@ -80,81 +86,6 @@ struct RankerOptions {
 /// Because the cut is a prefix of enumeration order, the partial
 /// ranking equals a full run restricted to predicates[0,
 /// scored_prefix) at any thread count — degraded, never wrong.
-/// \brief One shard's lane of a sharded ranking run. Counter fields
-/// are per-run deltas (a reused engine's counters are cumulative
-/// across explains, so each run snapshots them at checkout), which is
-/// what makes the warm-cache law checkable: a shard untouched by
-/// appends re-ranks with cache_misses == 0 and cache_hits ==
-/// clause_lookups.
-struct ShardRankStats {
-  size_t shard_index = 0;
-  /// Shard table rows at ranking time.
-  size_t rows = 0;
-  /// Suspect-universe members this shard owns.
-  size_t suspects = 0;
-  /// Engine came out of the per-set cache with bitmaps warm.
-  bool engine_reused = false;
-  /// This shard's slice of the Materialize wall time.
-  double materialize_ms = 0.0;
-  size_t clause_lookups = 0;
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  size_t bitmaps_materialized = 0;
-  /// Clause bitmaps cached in the shard's engine after the run.
-  size_t cached_clauses = 0;
-  // Fused-conjunction lane counters (per-run deltas, like the clause
-  // counters above): lookups == hits + compiles + fallbacks. A warm
-  // lane re-ranks with fused_compiles == 0 and fused_hits ==
-  // fused_lookups — the fused face of the warm-cache law.
-  size_t fused_lookups = 0;
-  size_t fused_hits = 0;
-  size_t fused_compiles = 0;
-  size_t fused_fallbacks = 0;
-  /// MatchPrepared calls this run answered by a one-pass fused scan.
-  size_t fused_evals = 0;
-  /// Compiled predicate programs retained in the engine after the run.
-  size_t cached_programs = 0;
-};
-
-/// \brief Telemetry one ranking run produces for the ExplainProfile:
-/// phase wall times, per-block timings, and MatchEngine cache totals.
-struct RankStats {
-  /// MatchEngine::Materialize wall time (0 when kernels are off).
-  double materialize_ms = 0.0;
-  /// Wall time of the scoring phase (all blocks).
-  double score_ms = 0.0;
-  size_t blocks_total = 0;
-  /// Contiguous done-prefix of blocks (the anytime cut).
-  size_t blocks_done = 0;
-  /// Wall ms per block, slot-per-block; blocks that never completed
-  /// keep 0, so a partial run shows where the deadline cut.
-  std::vector<double> block_ms;
-  bool used_kernels = false;
-  size_t clause_lookups = 0;
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  size_t bitmaps_materialized = 0;
-  size_t boxed_fallbacks = 0;
-  // Fused-conjunction counters (DESIGN.md §5i); lookups == hits +
-  // compiles + fallbacks, a law the observability test checks.
-  size_t fused_lookups = 0;
-  size_t fused_hits = 0;
-  size_t fused_compiles = 0;
-  size_t fused_fallbacks = 0;
-  size_t fused_evals = 0;
-  /// Compiled predicate programs retained across the run's engines.
-  size_t fused_programs = 0;
-  /// Wall ms spent planning + lowering fused programs this run.
-  double fused_compile_ms = 0.0;
-  /// SIMD tier the engines dispatched to ("avx2" / "scalar"; "" when
-  /// kernels were off).
-  std::string simd_tier;
-  /// Sharded runs only: one lane per shard, in shard order (empty for
-  /// single-engine runs). The top-level counters above are the lane
-  /// sums, so the hits + misses == lookups law holds unchanged.
-  std::vector<ShardRankStats> shard_stats;
-};
-
 struct RankOutcome {
   std::vector<RankedPredicate> predicates;
   bool partial = false;
@@ -181,21 +112,22 @@ class PredicateRanker {
   /// `per_group_baseline` is
   /// PreprocessResult::per_group_baseline_error.
   ///
-  /// With the delta engine, predicates are scored concurrently; the
-  /// metric's Error() must therefore be safe to call from multiple
-  /// threads (all built-in metrics are pure). Output order is
-  /// deterministic: by score, ties broken by enumeration order,
-  /// independent of the thread count.
+  /// Predicates are scored concurrently (RemovalScorer deltas over
+  /// MatchEngine bitmaps); the metric's Error() must therefore be safe
+  /// to call from multiple threads (all built-in metrics are pure).
+  /// Output order is deterministic: by score, ties broken by
+  /// enumeration order, independent of the thread count.
   ///
   /// `shards` (optional) partitions the suspect universe by a
   /// ShardSet's boundaries: matching and materialization then run
   /// per shard against cached per-shard MatchEngines (warm bitmaps
-  /// survive appends to other shards), per-shard partial scores are
-  /// folded in ascending-offset order, and the final ranking is
-  /// combined by the merger's CombinePartialRankings. Results are
-  /// bit-identical to the fused path at every shard count — a law the
-  /// equivalence suite checks. The caller must hold the set's
-  /// ReadLease() across the call.
+  /// survive appends to other shards). Without it the universe is one
+  /// slice with a per-call engine. Either way per-slice partial scores
+  /// are folded in ascending-offset order and the final ranking is
+  /// combined by the merger's CombinePartialRankings, so results are
+  /// bit-identical at every shard count — a law the equivalence and
+  /// oracle suites check. The caller must hold the set's ReadLease()
+  /// across the call.
   Result<std::vector<RankedPredicate>> Rank(
       const Table& table, const QueryResult& result,
       const std::vector<size_t>& selected_groups, const ErrorMetric& metric,
@@ -226,24 +158,6 @@ class PredicateRanker {
   static constexpr size_t kScoreBlock = 32;
 
  private:
-  Result<RankOutcome> RankDelta(
-      const Table& table, const QueryResult& result,
-      const std::vector<size_t>& selected_groups, const ErrorMetric& metric,
-      size_t agg_index, const std::vector<RowId>& suspects,
-      const std::vector<RowId>& reference_positive,
-      double per_group_baseline,
-      const std::vector<EnumeratedPredicate>& predicates,
-      const ExecContext& ctx, const ShardPlan* shards) const;
-
-  Result<RankOutcome> RankReference(
-      const Table& table, const QueryResult& result,
-      const std::vector<size_t>& selected_groups, const ErrorMetric& metric,
-      size_t agg_index, const std::vector<RowId>& suspects,
-      const std::vector<RowId>& reference_positive,
-      double per_group_baseline,
-      const std::vector<EnumeratedPredicate>& predicates,
-      const ExecContext& ctx) const;
-
   RankerOptions options_;
 };
 

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "dbwipes/expr/match_kernels.h"
+
 namespace dbwipes {
 
 /// \brief Per-Explain telemetry summary, attached to every
@@ -57,59 +59,35 @@ struct ExplainProfile {
   /// shows exactly where the deadline landed.
   std::vector<double> block_ms;
 
-  // --- MatchEngine (vectorized matching) ---
-  bool used_match_kernels = false;
-  size_t clause_lookups = 0;  // == cache_hits + cache_misses
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  size_t bitmaps_materialized = 0;
-  size_t boxed_fallbacks = 0;
-
-  // --- Fused conjunctions (one-pass SIMD matching, DESIGN.md §5i) ---
-  /// fused_lookups == fused_hits + fused_compiles + fused_fallbacks:
-  /// every multi-clause predicate a materialize batch examines counts
-  /// exactly one of program-cache hit, new compilation, or fallback to
-  /// the word-AND path.
-  size_t fused_lookups = 0;
-  size_t fused_hits = 0;
-  size_t fused_compiles = 0;
-  size_t fused_fallbacks = 0;
-  /// MatchPrepared calls answered by a one-pass fused evaluation.
-  size_t fused_evals = 0;
+  // --- MatchEngine (vectorized matching, DESIGN.md §5d/§5i) ---
+  /// This run's counter deltas, summed over its engines (the shard
+  /// lanes' sum on sharded tables); see MatchCounters for the laws.
+  MatchCounters match;
   /// Compiled predicate programs retained across this run's engines.
   size_t fused_programs = 0;
-  /// Wall ms spent planning + lowering fused programs (the fused
-  /// pipeline's per-stage timing lane, alongside materialize_ms).
-  double fused_compile_ms = 0.0;
-  /// SIMD tier the run dispatched to: "avx2", "scalar", or "" when
-  /// match kernels were off.
+  /// SIMD tier the run dispatched to: "avx2", "scalar", or "" when the
+  /// run stopped before ranking built an engine.
   std::string simd_tier;
 
   // --- Shards (sharded tables only; num_shards == 0 otherwise) ---
-  /// One lane per shard of the target ShardSet, in shard order.
-  /// Counter fields are per-run deltas (reused engines accumulate
-  /// across explains), so the hits + misses == lookups law holds per
-  /// lane as well as for the totals above (which are the lane sums).
+  /// One shard's lane of a sharded ranking run. `match` holds per-run
+  /// deltas (a reused engine's counters are cumulative across
+  /// explains), which is what makes the warm-cache law checkable: a
+  /// shard untouched by appends re-ranks with cache_misses == 0 and
+  /// fused_compiles == 0.
   struct ShardLane {
     size_t shard_index = 0;
     size_t rows = 0;      // shard table rows at ranking time
     size_t suspects = 0;  // suspect-universe members the shard owns
+    /// Engine came out of the per-set cache with bitmaps warm.
     bool engine_reused = false;
+    /// This shard's slice of the Materialize wall time.
     double materialize_ms = 0.0;
-    size_t clause_lookups = 0;
-    size_t cache_hits = 0;
-    size_t cache_misses = 0;
-    size_t bitmaps_materialized = 0;
-    size_t cached_clauses = 0;  // clause bitmaps retained after the run
-    // Fused lane counters (per-run deltas; lookups == hits + compiles
-    // + fallbacks per lane, and the profile totals are the lane sums).
-    size_t fused_lookups = 0;
-    size_t fused_hits = 0;
-    size_t fused_compiles = 0;
-    size_t fused_fallbacks = 0;
-    size_t fused_evals = 0;
-    size_t cached_programs = 0;  // programs retained after the run
+    MatchCounters match;
+    size_t cached_clauses = 0;   // clause bitmaps retained after the run
+    size_t cached_programs = 0;  // fused programs retained after the run
   };
+  /// One lane per shard of the target ShardSet, in shard order.
   size_t num_shards = 0;
   std::vector<ShardLane> shards;
   /// Engines that came back warm from the per-set cache this run.

@@ -63,6 +63,36 @@ void MatchClauseWords(const CompiledClause& clause,
                       const std::vector<RowId>& rows, size_t word_begin,
                       size_t word_end, Bitmap* out);
 
+/// \brief The MatchEngine's counters, declared once: the engine keeps
+/// one, RankStats and the ExplainProfile hold one, each shard lane
+/// holds one, and the registry's `match.*` counters are published from
+/// deltas of it.
+///
+/// Laws: every canonical-key probe counts exactly one of cache_hits /
+/// cache_misses (clause lookups are their sum), and every multi-clause
+/// predicate a Materialize batch examines counts exactly one of
+/// fused_hits (program already cached), fused_compiles (newly lowered)
+/// or fused_fallbacks (unfusible, or all clauses shared, so word-AND).
+struct MatchCounters {
+  size_t cache_hits = 0;
+  size_t cache_misses = 0;
+  /// Clause bitmaps actually scanned (supported cache misses).
+  size_t bitmaps_materialized = 0;
+  size_t fused_lookups = 0;
+  size_t fused_hits = 0;
+  size_t fused_compiles = 0;
+  size_t fused_fallbacks = 0;
+  /// MatchPrepared calls answered by a one-pass fused evaluation.
+  size_t fused_evals = 0;
+  /// Wall ms spent planning + lowering fused programs.
+  double fused_compile_ms = 0.0;
+
+  size_t clause_lookups() const { return cache_hits + cache_misses; }
+  MatchCounters& operator+=(const MatchCounters& other);
+  /// Per-run delta of a cumulative counter set: `after - before`.
+  MatchCounters operator-(const MatchCounters& before) const;
+};
+
 /// \brief Vectorized conjunction matching with a shared clause-bitmap
 /// cache.
 ///
@@ -72,9 +102,10 @@ void MatchClauseWords(const CompiledClause& clause,
 /// families on one column, repeated categorical equalities — so the
 /// engine canonicalizes each clause to a key, materializes its bitmap
 /// ONCE via the typed kernels, and matches a conjunction by ANDing
-/// cached words. Clauses the kernels cannot translate (in ways Bind
-/// also rejects) fall back to the boxed BoundPredicate path per
-/// predicate, preserving error behavior exactly.
+/// cached words. CompileClause rejects exactly the clauses Bind
+/// rejects, with the same messages, so a clause that does not compile
+/// is cached with its compile Status and every match touching it
+/// returns that Status — the error Bind would have reported.
 ///
 /// The engine is a snapshot: it caches bitmaps against the table size
 /// at construction, and every Match checks that the table has not
@@ -82,88 +113,39 @@ void MatchClauseWords(const CompiledClause& clause,
 /// §5d.
 ///
 /// Fused conjunctions (DESIGN.md §5i): Materialize additionally lowers
-/// multi-clause predicates whose clauses are unique within the batch
-/// into one-pass FusedPrograms — per 64-row block every clause becomes
-/// a register word ANDed in place, with no intermediate per-clause
-/// bitmaps — dispatched to a cpuid-selected SIMD tier (DBWIPES_SIMD=off
-/// forces the bit-identical scalar tier). Clauses shared across the
-/// batch (threshold families, repeated equalities) stay on the
-/// materialize-once + word-AND path and enter fused programs as cached
-/// bitmap references. Programs are cached keyed by the sorted canonical
-/// clause-key set, so shard engines reuse compilations across
-/// re-explains. Disable wholesale with DBWIPES_FUSED=off (read at
-/// engine construction).
+/// multi-clause predicates with at least one clause unique within the
+/// batch into one-pass FusedPrograms — per 64-row block every clause
+/// becomes a register word ANDed in place, with no intermediate
+/// per-clause bitmaps — dispatched to a cpuid-selected SIMD tier
+/// (DBWIPES_SIMD=off forces the bit-identical scalar tier). Clauses
+/// shared across the batch (threshold families, repeated equalities)
+/// stay on the materialize-once path and enter fused programs as
+/// cached bitmap references; a predicate whose clauses are all shared
+/// is matched by word-AND. Programs are cached keyed by the sorted
+/// canonical clause-key set, so shard engines reuse compilations
+/// across re-explains.
 ///
 /// Thread safety: Materialize() mutates the cache (its own scans run
 /// chunked on the PR-1 ParallelFor; output is deterministic at any
 /// thread count because chunk boundaries depend only on sizes).
 /// MatchPrepared() is const and touches only cached state, so any
 /// number of threads may call it concurrently after Materialize().
+///
+/// Movable; no concurrent use may straddle a move. Fused-program op
+/// pointers into the validity bitmaps survive the move: the pointed
+/// heap buffers do not relocate.
 class MatchEngine {
  public:
   MatchEngine(const Table& table, std::vector<RowId> rows);
-
-  // Movable (the atomic counters are carried over by value; no
-  // concurrent use may straddle a move). Fused-program op pointers
-  // into the pools and validity bitmaps survive the move: the pointed
-  // heap buffers do not relocate.
-  MatchEngine(MatchEngine&& other) noexcept
-      : table_(other.table_),
-        rows_(std::move(other.rows_)),
-        built_num_rows_(other.built_num_rows_),
-        rows_contiguous_(other.rows_contiguous_),
-        tier_(other.tier_),
-        fused_enabled_(other.fused_enabled_),
-        index_(std::move(other.index_)),
-        entries_(std::move(other.entries_)),
-        fused_index_(std::move(other.fused_index_)),
-        fused_entries_(std::move(other.fused_entries_)),
-        validity_(std::move(other.validity_)),
-        cache_hits_(other.cache_hits_),
-        cache_misses_(other.cache_misses_),
-        bitmaps_materialized_(other.bitmaps_materialized_),
-        fused_lookups_(other.fused_lookups_),
-        fused_hits_(other.fused_hits_),
-        fused_compiles_(other.fused_compiles_),
-        fused_fallbacks_(other.fused_fallbacks_),
-        fused_compile_ms_(other.fused_compile_ms_),
-        boxed_fallbacks_(
-            other.boxed_fallbacks_.load(std::memory_order_relaxed)),
-        fused_evals_(other.fused_evals_.load(std::memory_order_relaxed)) {}
-  MatchEngine& operator=(MatchEngine&& other) noexcept {
-    table_ = other.table_;
-    rows_ = std::move(other.rows_);
-    built_num_rows_ = other.built_num_rows_;
-    rows_contiguous_ = other.rows_contiguous_;
-    tier_ = other.tier_;
-    fused_enabled_ = other.fused_enabled_;
-    index_ = std::move(other.index_);
-    entries_ = std::move(other.entries_);
-    fused_index_ = std::move(other.fused_index_);
-    fused_entries_ = std::move(other.fused_entries_);
-    validity_ = std::move(other.validity_);
-    cache_hits_ = other.cache_hits_;
-    cache_misses_ = other.cache_misses_;
-    bitmaps_materialized_ = other.bitmaps_materialized_;
-    fused_lookups_ = other.fused_lookups_;
-    fused_hits_ = other.fused_hits_;
-    fused_compiles_ = other.fused_compiles_;
-    fused_fallbacks_ = other.fused_fallbacks_;
-    fused_compile_ms_ = other.fused_compile_ms_;
-    boxed_fallbacks_.store(
-        other.boxed_fallbacks_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    fused_evals_.store(other.fused_evals_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    return *this;
-  }
 
   const std::vector<RowId>& rows() const { return rows_; }
 
   /// Compiles and materializes every distinct clause of `predicates`
   /// that is not cached yet, scanning in word-aligned chunks on the
-  /// shared pool. Compile *errors* are returned only when the boxed
-  /// fallback would fail too — i.e. exactly when Bind fails.
+  /// shared pool. A clause that does not compile is not an error here:
+  /// its Status is cached and returned by every match that needs it.
+  /// Errors are interrupts, budget exhaustion, staleness and faults;
+  /// on any of them the batch's additions are rolled back.
   Status Materialize(const std::vector<const Predicate*>& predicates,
                      const ParallelOptions& options = {});
 
@@ -172,8 +154,9 @@ class MatchEngine {
   /// have been seen by Materialize(); const, safe for concurrent use.
   /// Predicates Materialize compiled into a fused program evaluate in
   /// one pass over the columns; everything else takes the word-AND of
-  /// cached clause bitmaps (or the boxed fallback). All three paths
-  /// produce bit-identical bitmaps.
+  /// cached clause bitmaps. Both paths produce bit-identical bitmaps.
+  /// A clause that failed to compile yields its compile Status (the
+  /// first such clause in predicate order, as Bind reports).
   Result<Bitmap> MatchPrepared(const Predicate& predicate) const;
 
   /// Anytime variant: fused evaluation checks `ctx` every few hundred
@@ -186,52 +169,25 @@ class MatchEngine {
   /// Serial convenience: Materialize({&predicate}) + MatchPrepared.
   Result<Bitmap> Match(const Predicate& predicate);
 
-  /// Bitmap of a single materialized-on-demand clause (serial).
+  /// Bitmap of a single clause, materialized on demand (serial).
   Result<const Bitmap*> ClauseBitmap(const Clause& clause);
 
-  // Cache introspection (for tests/benches/profiles). Hits + misses
-  // always equals clause lookups: every canonical-key probe counts
-  // exactly one of the two (a law the observability test checks
-  // against the global metric counters).
+  /// Snapshot of the cumulative counters (for tests, benches and
+  /// profiles; a per-run delta is `after - before`).
+  MatchCounters counters() const;
   size_t num_cached_clauses() const { return entries_.size(); }
+  /// Compiled predicate programs retained in the cache.
+  size_t num_fused_programs() const { return fused_entries_.size(); }
   /// Table size the cache snapshot was built against; a cached engine
   /// is reusable only while its table still has exactly this many rows.
   size_t built_table_rows() const { return built_num_rows_; }
-  size_t cache_hits() const { return cache_hits_; }
-  size_t cache_misses() const { return cache_misses_; }
-  size_t clause_lookups() const { return cache_hits_ + cache_misses_; }
-  /// Clause bitmaps actually scanned (supported cache misses).
-  size_t bitmaps_materialized() const { return bitmaps_materialized_; }
-  /// Predicates routed through the boxed row-at-a-time fallback.
-  size_t boxed_fallbacks() const {
-    return boxed_fallbacks_.load(std::memory_order_relaxed);
-  }
-
-  // Fused-conjunction introspection. Every multi-clause predicate a
-  // Materialize batch examines counts exactly one of hit (program
-  // already cached), compile (newly lowered), or fallback (unfusible
-  // or all clauses shared ⇒ word-AND/boxed) — so fused_lookups ==
-  // fused_hits + fused_compiles + fused_fallbacks, the law the
-  // observability test checks against the global metrics.
-  size_t fused_lookups() const { return fused_lookups_; }
-  size_t fused_hits() const { return fused_hits_; }
-  size_t fused_compiles() const { return fused_compiles_; }
-  size_t fused_fallbacks() const { return fused_fallbacks_; }
-  /// MatchPrepared calls answered by a fused one-pass evaluation.
-  size_t fused_evals() const {
-    return fused_evals_.load(std::memory_order_relaxed);
-  }
-  /// Compiled predicate programs retained in the cache.
-  size_t num_fused_programs() const { return fused_entries_.size(); }
-  /// Wall time spent planning + lowering fused programs (cumulative).
-  double fused_compile_ms() const { return fused_compile_ms_; }
   SimdTier simd_tier() const { return tier_; }
-  bool fused_enabled() const { return fused_enabled_; }
 
  private:
   struct ClauseEntry {
-    /// Kernels cover the clause; `bits` is valid once materialized.
-    bool supported = false;
+    /// OK when the kernels cover the clause (`bits` is then valid once
+    /// materialized); otherwise the compile error Bind also reports.
+    Status compiled;
     Bitmap bits;
   };
 
@@ -243,10 +199,28 @@ class MatchEngine {
     std::vector<size_t> ref_entries;  // ref_slot -> entries_ index
   };
 
-  /// Cache entry for `key`, creating (and, for supported clauses,
-  /// materializing serially) on miss. Valid until the next insertion.
-  ClauseEntry* EnsureClause(const Clause& clause, const std::string& key);
+  /// A relaxed atomic count that moves by value.
+  struct AtomicCount {
+    std::atomic<size_t> n{0};
+    AtomicCount() = default;
+    AtomicCount(AtomicCount&& other) noexcept
+        : n(other.n.load(std::memory_order_relaxed)) {}
+    AtomicCount& operator=(AtomicCount&& other) noexcept {
+      n.store(other.n.load(std::memory_order_relaxed),
+              std::memory_order_relaxed);
+      return *this;
+    }
+  };
+
   Status CheckFresh() const;
+
+  /// The one clause-entry routine behind Materialize, Match and
+  /// ClauseBitmap: caches every new clause of `predicates` (scanned
+  /// bitmap, or the compile Status), and with `plan_fused` lowers the
+  /// batch's fusible conjunctions first. Rolls the batch back on any
+  /// error.
+  Status AddToCache(const std::vector<const Predicate*>& predicates,
+                    const ParallelOptions& options, bool plan_fused);
 
   /// Universe-positional validity bitmap for a numeric column with
   /// nulls, built once per column (heap-allocated: op pointers stay
@@ -258,15 +232,11 @@ class MatchEngine {
   /// One-pass evaluation of a cached fused program.
   Result<Bitmap> EvalFused(const FusedEntry& fe, const ExecContext& ctx) const;
 
-  /// Boxed fallback for predicates with unsupported clauses.
-  Result<Bitmap> MatchBoxed(const Predicate& predicate) const;
-
   const Table* table_;
   std::vector<RowId> rows_;
   size_t built_num_rows_;  // table size the cache snapshot is valid for
   bool rows_contiguous_ = false;  // rows_[i] == rows_[0] + i
   SimdTier tier_ = SimdTier::kScalar;
-  bool fused_enabled_ = true;
   std::unordered_map<std::string, size_t> index_;  // canonical key -> entry
   std::vector<ClauseEntry> entries_;
   /// Sorted clause-key set -> fused_entries_ slot.
@@ -275,18 +245,10 @@ class MatchEngine {
   /// Column -> universe validity bitmap (shared by every fused op and
   /// SIMD clause scan over that column).
   std::unordered_map<const Column*, std::unique_ptr<Bitmap>> validity_;
-  size_t cache_hits_ = 0;
-  size_t cache_misses_ = 0;
-  size_t bitmaps_materialized_ = 0;
-  size_t fused_lookups_ = 0;
-  size_t fused_hits_ = 0;
-  size_t fused_compiles_ = 0;
-  size_t fused_fallbacks_ = 0;
-  double fused_compile_ms_ = 0.0;
-  /// Atomic: MatchPrepared is const and called concurrently by the
-  /// scoring threads; these are the only counters it touches.
-  mutable std::atomic<size_t> boxed_fallbacks_{0};
-  mutable std::atomic<size_t> fused_evals_{0};
+  /// Every counter but fused_evals, which MatchPrepared bumps from the
+  /// concurrent scoring threads and therefore lives in an atomic.
+  MatchCounters counters_;
+  mutable AtomicCount fused_evals_;
 };
 
 }  // namespace dbwipes

@@ -111,10 +111,10 @@ std::string Dashboard::RenderProfile(size_t width) const {
   }
   out += "  total        " + FormatDouble(p.total_ms, 2) + " ms\n";
 
-  if (p.used_match_kernels) {
-    out += "  match cache: " + std::to_string(p.cache_hits) + " hits / " +
-           std::to_string(p.cache_misses) + " misses (" +
-           std::to_string(p.bitmaps_materialized) + " bitmaps)\n";
+  if (!p.budget_bitmap_exhausted) {
+    out += "  match cache: " + std::to_string(p.match.cache_hits) +
+           " hits / " + std::to_string(p.match.cache_misses) + " misses (" +
+           std::to_string(p.match.bitmaps_materialized) + " bitmaps)\n";
   }
   out += "  pool: " + std::to_string(p.pool_threads) + " threads, " +
          std::to_string(p.pool_chunks) + " chunks, utilization " +

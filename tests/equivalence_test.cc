@@ -21,6 +21,7 @@
 #include "dbwipes/expr/parser.h"
 #include "dbwipes/query/executor.h"
 #include "dbwipes/query/incremental.h"
+#include "reference_ranker.h"
 
 namespace dbwipes {
 namespace {
@@ -464,19 +465,20 @@ TEST(RankerDedupTest, EqualSetsCollapseDistinctSetsSurvive) {
                                          Value(int64_t{1}))));
 
   auto metric = TooHigh(100.0);
-  for (auto engine : {RankerOptions::Engine::kDeltaParallel,
-                      RankerOptions::Engine::kReferenceSerial}) {
-    RankerOptions opts;
-    opts.engine = engine;
-    PredicateRanker ranker(opts);
-    auto ranked = ranker.Rank(t, result, selected, *metric, 0, suspects,
-                              /*reference_positive=*/{},
+  auto ranked = PredicateRanker().Rank(t, result, selected, *metric, 0,
+                                       suspects, /*reference_positive=*/{},
+                                       /*per_group_baseline=*/20.0,
+                                       predicates);
+  auto oracle = ReferenceRank(RankerOptions(), t, result, selected, *metric,
+                              0, suspects, /*reference_positive=*/{},
                               /*per_group_baseline=*/20.0, predicates);
-    ASSERT_TRUE(ranked.ok());
+  ASSERT_TRUE(ranked.ok());
+  ASSERT_TRUE(oracle.ok());
+  for (const auto* list : {&*ranked, &oracle->predicates}) {
     // The a/b twins collapsed; the tighter predicate survives.
-    ASSERT_EQ(ranked->size(), 2u);
-    EXPECT_NE((*ranked)[0].predicate.CanonicalString(),
-              (*ranked)[1].predicate.CanonicalString());
+    ASSERT_EQ(list->size(), 2u);
+    EXPECT_NE((*list)[0].predicate.CanonicalString(),
+              (*list)[1].predicate.CanonicalString());
   }
 }
 
@@ -498,14 +500,12 @@ RankSignature SignatureOf(const Explanation& exp) {
   return sig;
 }
 
-/// Runs a full demo-scenario pipeline under the given ranker engine /
-/// thread count and returns the ranked output's signature.
+/// Runs a full demo-scenario pipeline at the given scoring thread
+/// count and returns the ranked output's signature.
 template <typename SessionSetup>
 RankSignature RunScenario(const LabeledDataset& data,
-                          const SessionSetup& setup,
-                          RankerOptions::Engine engine, size_t threads) {
+                          const SessionSetup& setup, size_t threads) {
   ExplainOptions options;
-  options.ranker.engine = engine;
   options.ranker.num_threads = threads;
   auto db = std::make_shared<Database>();
   db->RegisterTable(data.table);
@@ -516,32 +516,26 @@ RankSignature RunScenario(const LabeledDataset& data,
   return SignatureOf(*exp);
 }
 
-/// The delta+parallel engine must produce byte-identical orderings to
-/// the serial reference, and identical output at every thread count.
+/// The whole pipeline (ranking and merge) must produce identical
+/// output at every scoring thread count. Agreement with the serial
+/// reference ranker is RankerOracleTest's law (ranker_oracle_test.cc).
 template <typename SessionSetup>
 void CheckEngineEquivalence(const LabeledDataset& data,
                             const SessionSetup& setup) {
-  const RankSignature reference = RunScenario(
-      data, setup, RankerOptions::Engine::kReferenceSerial, 1);
-  ASSERT_FALSE(reference.order.empty());
-  for (size_t threads : {1u, 2u, 8u}) {
-    const RankSignature delta = RunScenario(
-        data, setup, RankerOptions::Engine::kDeltaParallel, threads);
-    ASSERT_EQ(delta.order, reference.order) << threads << " threads";
-    ASSERT_EQ(delta.matched, reference.matched);
-    ASSERT_EQ(delta.scores.size(), reference.scores.size());
-    for (size_t i = 0; i < reference.scores.size(); ++i) {
-      // Delta removal may differ from a fresh fold in the last ulps.
-      EXPECT_NEAR(delta.scores[i], reference.scores[i], 1e-9);
-    }
+  const RankSignature serial = RunScenario(data, setup, 1);
+  ASSERT_FALSE(serial.order.empty());
+  for (size_t threads : {2u, 8u}) {
+    const RankSignature parallel = RunScenario(data, setup, threads);
+    ASSERT_EQ(parallel.order, serial.order) << threads << " threads";
+    ASSERT_EQ(parallel.matched, serial.matched);
+    // Bitwise: the same FP operations in the same order.
+    ASSERT_EQ(parallel.scores, serial.scores) << threads << " threads";
   }
   // Determinism across runs at the same thread count.
-  const RankSignature again = RunScenario(
-      data, setup, RankerOptions::Engine::kDeltaParallel, 8);
-  const RankSignature once = RunScenario(
-      data, setup, RankerOptions::Engine::kDeltaParallel, 8);
+  const RankSignature again = RunScenario(data, setup, 8);
+  const RankSignature once = RunScenario(data, setup, 8);
   ASSERT_EQ(again.order, once.order);
-  ASSERT_EQ(again.scores, once.scores);  // bitwise: same FP operations
+  ASSERT_EQ(again.scores, once.scores);
 }
 
 TEST(RankerEngineEquivalence, IntelScenario) {

@@ -8,14 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <memory>
+#include <shared_mutex>
 #include <vector>
 
 #include "dbwipes/common/random.h"
+#include "dbwipes/core/predicate_ranker.h"
 #include "dbwipes/expr/match_kernels.h"
+#include "dbwipes/expr/parser.h"
 #include "dbwipes/expr/predicate.h"
+#include "dbwipes/query/executor.h"
+#include "dbwipes/storage/shard.h"
 
 namespace dbwipes {
 namespace {
@@ -194,26 +200,26 @@ TEST(MatchEngine, SharedClausesAreCachedOnce) {
   // its one-pass program instead of the clause cache.
   EXPECT_EQ(engine.num_cached_clauses(), 1u);
   EXPECT_EQ(engine.num_fused_programs(), 2u);
-  EXPECT_EQ(engine.fused_compiles(), 2u);
-  EXPECT_GE(engine.cache_hits(), 1u);  // shared ref probed twice
+  EXPECT_EQ(engine.counters().fused_compiles, 2u);
+  EXPECT_GE(engine.counters().cache_hits, 1u);  // shared ref probed twice
 
   // Re-materializing is all hits, in both caches.
-  const size_t misses = engine.cache_misses();
+  const size_t misses = engine.counters().cache_misses;
   DBW_CHECK_OK(engine.Materialize({&p1, &p2}));
-  EXPECT_EQ(engine.cache_misses(), misses);
-  EXPECT_EQ(engine.fused_hits(), 2u);
+  EXPECT_EQ(engine.counters().cache_misses, misses);
+  EXPECT_EQ(engine.counters().fused_hits, 2u);
   EXPECT_EQ(engine.num_fused_programs(), 2u);
 
-  // With fused compilation off, the original per-clause law holds:
-  // three distinct clause bitmaps, the shared one counted once.
-  setenv("DBWIPES_FUSED", "off", 1);
+  // Matched clause by clause (Match takes the word-AND path), the
+  // per-clause law holds: three distinct clause bitmaps, the shared
+  // one counted once.
   MatchEngine plain(t, rows);
-  unsetenv("DBWIPES_FUSED");
-  ASSERT_FALSE(plain.fused_enabled());
-  DBW_CHECK_OK(plain.Materialize({&p1, &p2}));
+  ASSERT_TRUE(plain.Match(p1).ok());
+  ASSERT_TRUE(plain.Match(p2).ok());
   EXPECT_EQ(plain.num_cached_clauses(), 3u);  // shared counted once
+  EXPECT_EQ(plain.counters().cache_hits, 1u);
   EXPECT_EQ(plain.num_fused_programs(), 0u);
-  EXPECT_EQ(plain.fused_lookups(), 0u);
+  EXPECT_EQ(plain.counters().fused_lookups, 0u);
 }
 
 TEST(MatchEngine, UnsupportedClauseFailsExactlyLikeBind) {
@@ -229,6 +235,69 @@ TEST(MatchEngine, UnsupportedClauseFailsExactlyLikeBind) {
   auto bm = engine.Match(bad);
   ASSERT_FALSE(bm.ok());
   EXPECT_EQ(bm.status().ToString(), bound.status().ToString());
+}
+
+// A clause the kernels cannot compile is cached with its compile
+// Status, so a multi-clause predicate fails with the error Bind gives
+// — the first uncompilable clause in predicate order — through every
+// entry point: Materialize + MatchPrepared, Match, and the ranker at
+// every shard count.
+TEST(MatchEngine, MultiClauseErrorsEqualBindsAtEveryEntryPoint) {
+  Rng rng(8);
+  auto t = std::make_shared<Table>(RandomTable(&rng, 300));
+  std::vector<RowId> rows;
+  for (RowId r = 0; r < t->num_rows(); ++r) rows.push_back(r);
+  QueryResult result = *ExecuteQuery(
+      *ParseQuery("SELECT i, avg(d) AS a FROM t GROUP BY i"), *t);
+  std::vector<size_t> selected;
+  std::vector<RowId> suspects;
+  for (size_t g = 0; g < result.num_groups(); ++g) {
+    selected.push_back(g);
+    suspects.insert(suspects.end(), result.lineage[g].begin(),
+                    result.lineage[g].end());
+  }
+  std::sort(suspects.begin(), suspects.end());
+
+  const Clause good = Clause::Make("d", CompareOp::kGt, Value(0.0));
+  // Ordered comparison on a string column / CONTAINS on a number:
+  // Bind rejects both, with different messages.
+  const Clause bad_a = Clause::Make("s", CompareOp::kLt, Value("red"));
+  const Clause bad_b = Clause::Make("d", CompareOp::kContains, Value("x"));
+  const std::vector<std::vector<Clause>> shapes = {
+      {bad_a, good}, {good, bad_a}, {bad_a, bad_b}, {good, bad_b, bad_a}};
+  for (const std::vector<Clause>& clauses : shapes) {
+    const Predicate bad(clauses);
+    auto bound = bad.Bind(*t);
+    ASSERT_FALSE(bound.ok());
+    const std::string want = bound.status().ToString();
+
+    MatchEngine prepared(*t, rows);
+    DBW_CHECK_OK(prepared.Materialize({&bad}));
+    EXPECT_EQ(prepared.MatchPrepared(bad).status().ToString(), want);
+
+    MatchEngine serial(*t, rows);
+    EXPECT_EQ(serial.Match(bad).status().ToString(), want);
+
+    std::vector<EnumeratedPredicate> predicates(2);
+    predicates[0].predicate = Predicate({good});
+    predicates[1].predicate = bad;
+    for (size_t shards : {size_t{0}, size_t{1}, size_t{3}}) {
+      std::shared_ptr<ShardSet> set;
+      ShardPlan plan;
+      std::shared_lock<std::shared_mutex> lease;
+      if (shards > 0) {
+        set = *ShardSet::Create(*t, shards);
+        lease = set->ReadLease();
+        plan = ShardPlan::Build(*set, suspects);
+      }
+      auto ranked = PredicateRanker().Rank(
+          *t, result, selected, *TooHigh(0.0), 0, suspects, {}, 1.0,
+          predicates, set != nullptr ? &plan : nullptr);
+      ASSERT_FALSE(ranked.ok()) << bad.ToString() << " shards=" << shards;
+      EXPECT_EQ(ranked.status().ToString(), want)
+          << bad.ToString() << " shards=" << shards;
+    }
+  }
 }
 
 TEST(MatchEngine, RejectsMatchAfterTableAppend) {

@@ -224,19 +224,24 @@ TEST(ObservabilityTest, ProfileAttachedAndInternallyConsistent) {
   EXPECT_FALSE(p.partial);
   EXPECT_EQ(p.scoring_blocks_done, p.scoring_blocks_total);
   EXPECT_EQ(p.block_ms.size(), p.scoring_blocks_total);
-  // The cache law holds inside the profile too.
-  EXPECT_TRUE(p.used_match_kernels);
-  EXPECT_EQ(p.cache_hits + p.cache_misses, p.clause_lookups);
-  EXPECT_GT(p.clause_lookups, 0u);
+  // The cache law holds inside the profile too; the run matched
+  // through the engines (no bitmap budget forced BoundPredicate
+  // matching).
+  EXPECT_FALSE(p.budget_bitmap_exhausted);
+  EXPECT_EQ(p.match.cache_hits + p.match.cache_misses,
+            p.match.clause_lookups());
+  EXPECT_GT(p.match.clause_lookups(), 0u);
   // Fused law at profile scope, plus the tier the run dispatched to.
-  EXPECT_EQ(p.fused_hits + p.fused_compiles + p.fused_fallbacks,
-            p.fused_lookups);
-  EXPECT_GT(p.fused_lookups, 0u);
+  EXPECT_EQ(p.match.fused_hits + p.match.fused_compiles +
+                p.match.fused_fallbacks,
+            p.match.fused_lookups);
+  EXPECT_GT(p.match.fused_lookups, 0u);
   EXPECT_TRUE(p.simd_tier == "avx2" || p.simd_tier == "scalar")
       << p.simd_tier;
-  // Stage clocks mirror the explanation's.
-  EXPECT_DOUBLE_EQ(p.preprocess_ms, exp.preprocess_ms);
-  EXPECT_DOUBLE_EQ(p.rank_ms, exp.rank_ms);
+  // The stage clocks are disjoint slices of the total clock.
+  EXPECT_GT(p.rank_ms, 0.0);
+  EXPECT_LE(p.preprocess_ms + p.enumerate_ms + p.predicates_ms + p.rank_ms,
+            p.total_ms);
 
   const std::string json = ExplainProfileToJson(p, /*pretty=*/false);
   EXPECT_TRUE(IsWellFormedJson(json)) << json.substr(0, 300);

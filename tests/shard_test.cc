@@ -231,30 +231,32 @@ void CheckLaneLaws(const ExplainProfile& p, size_t num_shards) {
   size_t lookups = 0, hits = 0, misses = 0, mats = 0;
   size_t f_lookups = 0, f_hits = 0, f_compiles = 0, f_fallbacks = 0;
   for (const ExplainProfile::ShardLane& lane : p.shards) {
-    EXPECT_EQ(lane.cache_hits + lane.cache_misses, lane.clause_lookups)
+    EXPECT_EQ(lane.match.cache_hits + lane.match.cache_misses,
+              lane.match.clause_lookups())
         << "lane " << lane.shard_index;
-    EXPECT_EQ(lane.fused_hits + lane.fused_compiles + lane.fused_fallbacks,
-              lane.fused_lookups)
+    EXPECT_EQ(lane.match.fused_hits + lane.match.fused_compiles +
+                  lane.match.fused_fallbacks,
+              lane.match.fused_lookups)
         << "lane " << lane.shard_index;
     EXPECT_GT(lane.suspects, 0u) << "lane " << lane.shard_index;
-    lookups += lane.clause_lookups;
-    hits += lane.cache_hits;
-    misses += lane.cache_misses;
-    mats += lane.bitmaps_materialized;
-    f_lookups += lane.fused_lookups;
-    f_hits += lane.fused_hits;
-    f_compiles += lane.fused_compiles;
-    f_fallbacks += lane.fused_fallbacks;
+    lookups += lane.match.clause_lookups();
+    hits += lane.match.cache_hits;
+    misses += lane.match.cache_misses;
+    mats += lane.match.bitmaps_materialized;
+    f_lookups += lane.match.fused_lookups;
+    f_hits += lane.match.fused_hits;
+    f_compiles += lane.match.fused_compiles;
+    f_fallbacks += lane.match.fused_fallbacks;
   }
   // Top-level engine counters are the lane sums.
-  EXPECT_EQ(p.clause_lookups, lookups);
-  EXPECT_EQ(p.cache_hits, hits);
-  EXPECT_EQ(p.cache_misses, misses);
-  EXPECT_EQ(p.bitmaps_materialized, mats);
-  EXPECT_EQ(p.fused_lookups, f_lookups);
-  EXPECT_EQ(p.fused_hits, f_hits);
-  EXPECT_EQ(p.fused_compiles, f_compiles);
-  EXPECT_EQ(p.fused_fallbacks, f_fallbacks);
+  EXPECT_EQ(p.match.clause_lookups(), lookups);
+  EXPECT_EQ(p.match.cache_hits, hits);
+  EXPECT_EQ(p.match.cache_misses, misses);
+  EXPECT_EQ(p.match.bitmaps_materialized, mats);
+  EXPECT_EQ(p.match.fused_lookups, f_lookups);
+  EXPECT_EQ(p.match.fused_hits, f_hits);
+  EXPECT_EQ(p.match.fused_compiles, f_compiles);
+  EXPECT_EQ(p.match.fused_fallbacks, f_fallbacks);
 }
 
 TEST(ShardWarmCacheTest, AppendInvalidatesOnlyTheTailShard) {
@@ -270,7 +272,7 @@ TEST(ShardWarmCacheTest, AppendInvalidatesOnlyTheTailShard) {
   CheckLaneLaws(first.profile, kShards);
   for (const ExplainProfile::ShardLane& lane : first.profile.shards) {
     EXPECT_FALSE(lane.engine_reused) << "lane " << lane.shard_index;
-    EXPECT_GT(lane.cache_misses, 0u) << "lane " << lane.shard_index;
+    EXPECT_GT(lane.match.cache_misses, 0u) << "lane " << lane.shard_index;
   }
   EXPECT_EQ(first.profile.shard_engines_reused, 0u);
   EXPECT_GE(first.profile.shard_skew, 1.0);
@@ -281,18 +283,19 @@ TEST(ShardWarmCacheTest, AppendInvalidatesOnlyTheTailShard) {
   CheckLaneLaws(second.profile, kShards);
   for (const ExplainProfile::ShardLane& lane : second.profile.shards) {
     EXPECT_TRUE(lane.engine_reused) << "lane " << lane.shard_index;
-    EXPECT_EQ(lane.cache_misses, 0u) << "lane " << lane.shard_index;
-    EXPECT_EQ(lane.bitmaps_materialized, 0u) << "lane " << lane.shard_index;
-    EXPECT_EQ(lane.cache_hits, lane.clause_lookups)
+    EXPECT_EQ(lane.match.cache_misses, 0u) << "lane " << lane.shard_index;
+    EXPECT_EQ(lane.match.bitmaps_materialized, 0u)
+        << "lane " << lane.shard_index;
+    EXPECT_EQ(lane.match.cache_hits, lane.match.clause_lookups())
         << "lane " << lane.shard_index;
     // The lane did work — through the clause cache, the fused program
     // cache, or both (fused predicates skip per-clause lookups).
-    EXPECT_GT(lane.clause_lookups + lane.fused_lookups, 0u)
+    EXPECT_GT(lane.match.clause_lookups() + lane.match.fused_lookups, 0u)
         << "lane " << lane.shard_index;
     // The fused face of the warm-cache law: every program lookup was
     // answered from the retained compilation, nothing re-lowered.
-    EXPECT_EQ(lane.fused_compiles, 0u) << "lane " << lane.shard_index;
-    EXPECT_EQ(lane.fused_hits, lane.fused_lookups)
+    EXPECT_EQ(lane.match.fused_compiles, 0u) << "lane " << lane.shard_index;
+    EXPECT_EQ(lane.match.fused_hits, lane.match.fused_lookups)
         << "lane " << lane.shard_index;
     EXPECT_GT(lane.cached_programs + lane.cached_clauses, 0u)
         << "lane " << lane.shard_index;
@@ -311,17 +314,17 @@ TEST(ShardWarmCacheTest, AppendInvalidatesOnlyTheTailShard) {
     if (lane.shard_index == kShards - 1) {
       // Tail: table grew, engine rebuilt from scratch.
       EXPECT_FALSE(lane.engine_reused);
-      EXPECT_GT(lane.cache_misses, 0u);
+      EXPECT_GT(lane.match.cache_misses, 0u);
     } else {
       // Everyone else: warm. This is the (S-1)/S retention claim.
       EXPECT_TRUE(lane.engine_reused) << "lane " << lane.shard_index;
-      EXPECT_EQ(lane.cache_misses, 0u) << "lane " << lane.shard_index;
-      EXPECT_EQ(lane.cache_hits, lane.clause_lookups)
+      EXPECT_EQ(lane.match.cache_misses, 0u) << "lane " << lane.shard_index;
+      EXPECT_EQ(lane.match.cache_hits, lane.match.clause_lookups())
           << "lane " << lane.shard_index;
-      EXPECT_GT(lane.clause_lookups + lane.fused_lookups, 0u)
+      EXPECT_GT(lane.match.clause_lookups() + lane.match.fused_lookups, 0u)
           << "lane " << lane.shard_index;
-      EXPECT_EQ(lane.fused_compiles, 0u) << "lane " << lane.shard_index;
-      EXPECT_EQ(lane.fused_hits, lane.fused_lookups)
+      EXPECT_EQ(lane.match.fused_compiles, 0u) << "lane " << lane.shard_index;
+      EXPECT_EQ(lane.match.fused_hits, lane.match.fused_lookups)
           << "lane " << lane.shard_index;
     }
   }
